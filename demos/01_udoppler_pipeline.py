@@ -19,7 +19,6 @@ from spikeradar.udoppler import (
     cut_maps,
     dc_removed_sequence,
     normalize_and_denoise,
-    pick_gesture_bin,
     stft_magnitude,
     suggested_top_k,
 )
@@ -64,7 +63,7 @@ def main():
     print(f"range profiles: {profiles.profiles.shape} (chirp x range bin), "
           f"Blackman window, FFT length {profiles.profiles.shape[1]}")
 
-    picked = pick_gesture_bin(profiles)
+    picked = profiles.gesture_bin
     print(f"max-energy range bin: {picked} "
           f"(the static wall in bin 5 dominates raw energy)")
 

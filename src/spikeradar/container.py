@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import os
 
 import numpy as np
 
@@ -30,6 +32,7 @@ from .errors import InvalidInput
 
 # Caps the header line; a real header is well under 1 KiB.
 _MAX_HEADER_BYTES = 65536
+_MAX_ELEMENTS = np.iinfo(np.int64).max
 
 _DTYPES = {
     "f32": np.dtype("<f4"),
@@ -90,6 +93,17 @@ def write_tensor_to(f, values: np.ndarray, axes, dtype: str | None = None) -> No
     f.write(payload)
 
 
+def _bytes_left(f) -> int | None:
+    """Bytes between the position of f and its end; None if f cannot seek."""
+    try:
+        here = f.tell()
+        end = f.seek(0, os.SEEK_END)
+        f.seek(here)
+    except (AttributeError, OSError):
+        return None
+    return end - here
+
+
 def read_tensor_from(f):
     """Read one tensor record from an open binary file.
 
@@ -114,7 +128,7 @@ def read_tensor_from(f):
         raise InvalidInput(f"unsupported endianness {header['endian']!r}")
     shape = header["shape"]
     if not isinstance(shape, list) or any(
-        not isinstance(n, int) or n < 0 for n in shape
+        not isinstance(n, int) or isinstance(n, bool) or n < 0 for n in shape
     ):
         raise InvalidInput(f"container shape must be a list of non-negative ints, got {shape!r}")
     axes = header["axes"]
@@ -123,13 +137,21 @@ def read_tensor_from(f):
             f"container axes {axes!r} do not match shape rank {len(shape)}"
         )
     tag = header["dtype"]
-    n_elem = int(np.prod(shape, dtype=np.int64)) if shape else 1
+    n_elem = math.prod(shape)  # exact: Python ints do not wrap
+    if n_elem > _MAX_ELEMENTS:
+        raise InvalidInput(f"container shape {shape} has more elements than int64 holds")
     if tag == "u1":
         n_bytes = (n_elem + 7) // 8
     elif tag in _DTYPES:
         n_bytes = n_elem * _DTYPES[tag].itemsize
     else:
         raise InvalidInput(f"unknown container dtype tag {tag!r}")
+    left = _bytes_left(f)
+    if left is not None and n_bytes > left:
+        raise InvalidInput(
+            f"container payload truncated: shape {shape} needs {n_bytes} bytes, "
+            f"{left} remain"
+        )
     payload = f.read(n_bytes)
     if len(payload) != n_bytes:
         raise InvalidInput(

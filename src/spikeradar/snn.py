@@ -27,7 +27,6 @@ import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .container import read_tensor_from, write_tensor_to
 from .encoding import SpikeTensor
@@ -261,6 +260,10 @@ def relaxed_spike(v: np.ndarray) -> np.ndarray:
     (1/4) erf(sqrt(2) (v - 1)) + 1/4, whose derivative is the Gaussian
     surrogate (1/sqrt(2 pi)) exp(-2 (v - 1)^2).
     """
+    # imported here: scipy.special is most of the package's import time,
+    # and only this mode needs it
+    from scipy.special import erf
+
     return 0.25 * erf(np.sqrt(2.0) * (v - THRESHOLD)) + 0.25
 
 
@@ -268,32 +271,31 @@ def relaxed_spike(v: np.ndarray) -> np.ndarray:
 # linear stages
 
 
-def im2col_patches(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """Gather conv patches: (B, C, H, W) -> (B*OH*OW, C*kh*kw) float64.
+# Images per chunk of the conv patch gather. One 48x100 image's float64
+# patch matrix is 0.85 MB, so a chunk stays cache-sized for any batch.
+PATCH_CHUNK = 2
 
-    Column order is (channel, kernel row, kernel col) flattened row-major,
-    matching weights reshaped as (C_out, C_in*kh*kw).
+
+def patch_chunks(x: np.ndarray, kh: int, kw: int):
+    """Yield (i, patches) for the images x[i : i + PATCH_CHUNK] of x (B, C, H, W).
+
+    patches (n, C*kh*kw, OH*OW) float64 holds each image's conv patches,
+    rows in (channel, kernel row, kernel col) order to match weights
+    reshaped as (C_out, C_in*kh*kw). Every chunk reuses one buffer, so a
+    caller is done with a chunk before it asks for the next.
     """
     b, c, h, w = x.shape
     oh, ow = h - kh + 1, w - kw + 1
-    s0, s1, s2, s3 = x.strides
-    patches = np.lib.stride_tricks.as_strided(
-        x, shape=(b, c, oh, ow, kh, kw), strides=(s0, s1, s2, s3, s2, s3)
-    )
-    cols = np.ascontiguousarray(patches.transpose(0, 2, 3, 1, 4, 5), dtype=np.float64)
-    return cols.reshape(b * oh * ow, c * kh * kw)
-
-
-def conv2d_drive(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Valid cross-correlation, stride 1, no bias: input drive of sigma1."""
-    b, c, h, w_in = x.shape
-    c_out, c_in, kh, kw = w.shape
-    if c != c_in:
-        raise InvalidInput(f"input has {c} channels, conv expects {c_in}")
-    oh, ow = h - kh + 1, w_in - kw + 1
-    cols = im2col_patches(x, kh, kw)
-    out = cols @ w.reshape(c_out, -1).T
-    return out.reshape(b, oh, ow, c_out).transpose(0, 3, 1, 2)
+    buf = np.empty((min(PATCH_CHUNK, b), c * kh * kw, oh * ow))
+    for i in range(0, b, PATCH_CHUNK):
+        chunk = x[i : i + PATCH_CHUNK]
+        n = chunk.shape[0]
+        s0, s1, s2, s3 = chunk.strides
+        windows = np.lib.stride_tricks.as_strided(
+            chunk, shape=(n, c, kh, kw, oh, ow), strides=(s0, s1, s2, s3, s2, s3)
+        )
+        np.copyto(buf[:n].reshape(n, c, kh, kw, oh, ow), windows)
+        yield i, buf[:n]
 
 
 def dense_drive(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -334,23 +336,6 @@ def _maxpool_route(x: np.ndarray, want_route: bool = True):
     return pooled, route
 
 
-def unpool_scatter(grad_pooled: np.ndarray, route: np.ndarray,
-                   spatial: tuple[int, int]) -> np.ndarray:
-    """Scatter pooled-cell gradients back to the routed input positions.
-
-    grad_pooled and route have shape (B, C, PH, PW); output is (B, C, H, W)
-    with zeros everywhere except each window's routed position. Truncated
-    odd rows/columns receive zero.
-    """
-    b, c, ph, pw = grad_pooled.shape
-    h, w = spatial
-    out = np.zeros((b, c, h, w), dtype=grad_pooled.dtype)
-    for q in range(4):
-        view = out[..., (q >> 1) :: 2, (q & 1) :: 2][..., :ph, :pw]
-        np.copyto(view, grad_pooled, where=(route == q))
-    return out
-
-
 def softmax(a: np.ndarray) -> np.ndarray:
     """Row-wise stable softmax."""
     z = a - a.max(axis=-1, keepdims=True)
@@ -385,26 +370,22 @@ class Tape:
 
     Arrays are stacked over the step axis: v*_pre are the pre-update
     potentials each spike decision read, s* the emitted spikes (float in
-    relaxed mode), route the pool routing, flat the flattened pooled spikes.
+    relaxed mode), flat the flattened pooled spikes. Only the cell each 2x2
+    pool window routes to can receive a gradient through sigma1's spikes, so
+    sigma1 keeps its potential at that cell alone: cells is the cell's flat
+    index into a (B, C, OH, OW) array and v1_routed the potential there,
+    both (T, B, C, OH//2, OW//2).
     """
 
     bits: np.ndarray
-    v1_pre: np.ndarray
     s1: np.ndarray
-    route: np.ndarray
+    cells: np.ndarray
+    v1_routed: np.ndarray
     flat: np.ndarray
     v2_pre: np.ndarray
     s2: np.ndarray
     v3_pre: np.ndarray
     s3: np.ndarray
-    accumulator: np.ndarray
-    probs: np.ndarray
-    weights: dict
-    mode: str
-    fire_mode: str
-    # im2col view of the whole batch-time input, (T*B*OH*OW, C*kh*kw),
-    # kept so the backward conv-weight GEMM does not regather patches
-    cols: np.ndarray | None = None
 
 
 @dataclass
@@ -483,48 +464,47 @@ def forward_batch(
     v3 = np.zeros((b, model.n_classes))
     acc = np.zeros((b, model.n_classes))
 
-    # The conv drive depends on the input alone, not on IF state, so all
-    # steps share one patch gather and one GEMM up front. Time-major layout
-    # keeps each step's slice contiguous.
+    # The conv drive depends on the input alone. The last step's drive only
+    # feeds V_T, which nothing reads, unless sigma1 integrates before it
+    # fires; a skipped step leaves j1 holding the previous step's drive.
     kh, kw = model.kernel
-    x_tb = np.ascontiguousarray(bits.transpose(1, 0, 2, 3, 4)).reshape(
-        t * b, *model.input_shape
-    )
-    cols = im2col_patches(x_tb, kh, kw)
-    j1_steps = (cols @ w_conv.reshape(c1, -1).T).reshape(
-        t, b, oh, ow, c1
-    ).transpose(0, 1, 4, 2, 3)
+    w_conv2 = w_conv.reshape(c1, -1)
+    conv_steps = t if hard and model.fire_mode == "integrate_then_fire" else t - 1
+    j1 = np.zeros((b, c1, oh, ow))
+    j1_rows = j1.reshape(b, c1, oh * ow)
 
     tape = None
     if want_tape:
         tape = Tape(
             bits=bits,
-            v1_pre=np.empty((t, b, c1, oh, ow)),
             s1=np.empty((t, b, c1, oh, ow), dtype=spike_dtype),
-            route=np.empty((t, b, c1, ph, pw), dtype=np.int8),
+            cells=np.empty((t, b, c1, ph, pw), dtype=np.intp),
+            v1_routed=np.empty((t, b, c1, ph, pw)),
             flat=np.empty((t, b, flat_n), dtype=spike_dtype),
             v2_pre=np.empty((t, b, model.hidden)),
             s2=np.empty((t, b, model.hidden), dtype=spike_dtype),
             v3_pre=np.empty((t, b, model.n_classes)),
             s3=np.empty((t, b, model.n_classes), dtype=spike_dtype),
-            accumulator=acc,
-            probs=np.empty((b, model.n_classes)),
-            weights=weights,
-            mode=mode,
-            fire_mode=model.fire_mode,
-            cols=cols,
         )
+        # flat index of each pool window's top-left cell, and the offset of
+        # window position 0..3 (row-major) from it
+        window_origins = (
+            np.arange(b * c1).reshape(b, c1, 1, 1) * (oh * ow)
+            + np.arange(ph).reshape(ph, 1) * (2 * ow)
+            + np.arange(pw) * 2
+        )
+        route_offsets = np.array([0, 1, ow, ow + 1], dtype=np.intp)
 
-    n_s1 = np.zeros(b, dtype=np.int64)
-    n_s2 = np.zeros(b, dtype=np.int64)
-    n_s3 = np.zeros(b, dtype=np.int64)
+    n_spikes = np.zeros((3, b), dtype=np.int64)  # sigma1..sigma3, per example
     per_step = np.zeros((t, 4), dtype=np.int64)
 
     for k in range(t):
-        j1 = j1_steps[k]
+        if k < conv_steps:
+            for i, patches in patch_chunks(bits[:, k], kh, kw):
+                np.matmul(w_conv2, patches, out=j1_rows[i : i + len(patches)])
         if hard:
             v1_next, s1_b = _if_update(v1, j1, model.fire_mode)
-            s1 = s1_b.astype(np.uint8)
+            s1 = s1_b.view(np.uint8)
         else:
             s1 = relaxed_spike(v1)
             v1_next = v1 + j1
@@ -533,43 +513,44 @@ def forward_batch(
         j2 = dense_drive(flat, w_fc1)
         if hard:
             v2_next, s2_b = _if_update(v2, j2, model.fire_mode)
-            s2 = s2_b.astype(np.uint8)
+            s2 = s2_b.view(np.uint8)
         else:
             s2 = relaxed_spike(v2)
             v2_next = v2 + j2
         j3 = dense_drive(s2, w_fc2)
         if hard:
             v3_next, s3_b = _if_update(v3, j3, model.fire_mode)
-            s3 = s3_b.astype(np.uint8)
+            s3 = s3_b.view(np.uint8)
         else:
             s3 = relaxed_spike(v3)
             v3_next = v3 + j3
         acc += s3
 
         if want_tape:
-            tape.v1_pre[k] = v1
             tape.s1[k] = s1
-            tape.route[k] = route
+            cells = tape.cells[k]
+            np.take(route_offsets, route, out=cells, mode="clip")
+            cells += window_origins
+            np.take(v1.reshape(-1), cells, out=tape.v1_routed[k], mode="clip")
             tape.flat[k] = flat
             tape.v2_pre[k] = v2
             tape.s2[k] = s2
             tape.v3_pre[k] = v3
             tape.s3[k] = s3
         if hard:
-            n_s1 += s1.reshape(b, -1).sum(axis=1, dtype=np.int64)
-            n_s2 += s2.sum(axis=1, dtype=np.int64)
-            n_s3 += s3.sum(axis=1, dtype=np.int64)
-            per_step[k, 0] = int(bits[:, k].sum())
-            per_step[k, 1] = int(s1.sum())
-            per_step[k, 2] = int(s2.sum())
-            per_step[k, 3] = int(s3.sum())
+            for layer, s in enumerate((s1, s2, s3)):
+                step_counts = s.reshape(b, -1).sum(axis=1, dtype=np.int64)
+                n_spikes[layer] += step_counts
+                per_step[k, layer + 1] = step_counts.sum()
         v1, v2, v3 = v1_next, v2_next, v3_next
 
+    n_input_steps = bits.reshape(b, t, -1).sum(axis=2, dtype=np.int64)
+    if hard:
+        per_step[:, 0] = n_input_steps.sum(axis=0)
+    n_input = n_input_steps.sum(axis=1)
     probs = softmax(acc)
-    n_input = bits.reshape(b, -1).sum(axis=1, dtype=np.int64)
-    counts = {"input": n_input, "sigma1": n_s1, "sigma2": n_s2, "sigma3": n_s3}
-    if want_tape:
-        tape.probs = probs
+    counts = {"input": n_input, "sigma1": n_spikes[0], "sigma2": n_spikes[1],
+              "sigma3": n_spikes[2]}
     return BatchForward(
         probs=probs,
         accumulator=acc,
@@ -638,6 +619,47 @@ def save_model(model: SnnModel, path) -> None:
                 write_tensor_to(f, model.quantized[name].codes, _AXES[name], dtype="i8")
 
 
+_MANIFEST_INTS = ("t_inf", "n_classes", "hidden", "conv_channels")
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, float) or _is_int(x)
+
+
+def _check_manifest(manifest, path) -> None:
+    """Raise InvalidInput unless manifest holds every field load_model reads,
+    each of the type save_model writes."""
+    if not isinstance(manifest, dict) or manifest.get("format") != _MODEL_FORMAT:
+        raise InvalidInput(f"{path}: not a model file")
+    required = ("tensors", "layers", "input_shape", "kernel", "fire_mode") + _MANIFEST_INTS
+    missing = [key for key in required if key not in manifest]
+    if missing:
+        raise InvalidInput(f"{path}: model manifest lacks {', '.join(missing)}")
+    if manifest["tensors"] != list(WEIGHT_NAMES):
+        raise InvalidInput(f"{path}: model tensors must be {list(WEIGHT_NAMES)}")
+    for key in _MANIFEST_INTS:
+        if not _is_int(manifest[key]):
+            raise InvalidInput(f"{path}: model field {key!r} must be an integer")
+    for key, rank in (("input_shape", 3), ("kernel", 2)):
+        value = manifest[key]
+        if not (isinstance(value, list) and len(value) == rank
+                and all(_is_int(n) for n in value)):
+            raise InvalidInput(f"{path}: model field {key!r} must be {rank} integers")
+    layers = manifest["layers"]
+    if not isinstance(layers, list) or not all(isinstance(d, dict) for d in layers):
+        raise InvalidInput(f"{path}: model layers must be a list of objects")
+    qmeta = manifest.get("quantization")
+    if qmeta:
+        scales = qmeta.get("scales") if isinstance(qmeta, dict) else None
+        if not (isinstance(scales, dict) and _is_int(qmeta.get("bits"))
+                and all(_is_number(scales.get(n)) for n in WEIGHT_NAMES)):
+            raise InvalidInput(f"{path}: malformed quantization in model manifest")
+
+
 def load_model(path) -> SnnModel:
     """Read a model file written by save_model."""
     with open(path, "rb") as f:
@@ -648,8 +670,7 @@ def load_model(path) -> SnnModel:
             manifest = json.loads(line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise InvalidInput(f"{path}: model manifest is not valid JSON") from exc
-        if manifest.get("format") != _MODEL_FORMAT:
-            raise InvalidInput(f"{path}: not a model file")
+        _check_manifest(manifest, path)
         weights = {}
         for name in manifest["tensors"]:
             values, header = read_tensor_from(f)
@@ -669,8 +690,12 @@ def load_model(path) -> SnnModel:
                 )
         if f.read(1):
             raise InvalidInput(f"{path}: trailing bytes after model payload")
+    try:
+        layers = [LayerSpec.from_dict(d) for d in manifest["layers"]]
+    except TypeError as exc:
+        raise InvalidInput(f"{path}: malformed layer in model manifest: {exc}") from exc
     return SnnModel(
-        layers=[LayerSpec.from_dict(d) for d in manifest["layers"]],
+        layers=layers,
         weights=weights,
         t_inf=manifest["t_inf"],
         input_shape=tuple(manifest["input_shape"]),

@@ -30,8 +30,8 @@ from .snn import (
     SnnModel,
     forward_batch,
     init_model,
+    patch_chunks,
     resolve_weights,
-    unpool_scatter,
 )
 
 GAIN_AT_THRESHOLD = 1.0 / np.sqrt(2.0 * np.pi)
@@ -66,6 +66,17 @@ def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
     return float(-np.mean(np.log(np.maximum(p, 1e-300))))
 
 
+def _surrogate_term(v_pre, g_spikes, out):
+    """out = g_spikes * gain(v_pre - 1), fused in place."""
+    np.subtract(v_pre, THRESHOLD, out=out)
+    np.square(out, out=out)
+    out *= -2.0
+    np.exp(out, out=out)
+    out *= GAIN_AT_THRESHOLD
+    out *= g_spikes
+    return out
+
+
 def _layer_time_backward(g_spikes, v_pre, spikes, relaxed: bool):
     """Run the per-layer adjoint recurrence over time.
 
@@ -87,15 +98,55 @@ def _layer_time_backward(g_spikes, v_pre, spikes, relaxed: bool):
         np.copyto(gd, g_v_next)
         if not relaxed:
             np.copyto(gd, 0.0, where=(spikes[k] != 0))
-        # fused surrogate term: g_spikes * gain(v_pre - 1), built in scratch
-        np.subtract(v_pre[k], THRESHOLD, out=scratch)
-        np.square(scratch, out=scratch)
-        scratch *= -2.0
-        np.exp(scratch, out=scratch)
-        scratch *= GAIN_AT_THRESHOLD
-        scratch *= g_spikes[k]
-        np.add(gd, scratch, out=g_v_next)
+        np.add(gd, _surrogate_term(v_pre[k], g_spikes[k], scratch), out=g_v_next)
     return g_drive
+
+
+def _sigma1_backward(g_routed, v1_routed, cells, spikes, relaxed: bool, bits, kernel):
+    """Run sigma1's adjoint recurrence and accumulate the conv weight gradient.
+
+    sigma1's spikes reach fc1 through the 2x2 pool, so only the cell each
+    pool window routes to receives a spike adjoint, and the surrogate is
+    evaluated at those cells only.
+
+    Args:
+        g_routed: (T, B, C, PH, PW) adjoint of each pooled cell's spike.
+        v1_routed: (T, B, C, PH, PW) pre-update potential of the routed cell.
+        cells: (T, B, C, PH, PW) flat index of the routed cell into one
+            step's (B, C, OH, OW) map.
+        spikes: (T, B, C, OH, OW) emitted spikes (ignored when relaxed).
+        relaxed: carry factor 1 instead of (1 - S).
+        bits: (B, T, C_in, H, W) input spikes, whose patches are gathered
+            again for the weight gradient.
+        kernel: (kh, kw).
+
+    Returns:
+        (C, C_in*kh*kw) conv weight gradient; the conv layer is first, so
+        no input gradient is needed.
+    """
+    t, b, c1 = spikes.shape[:3]
+    kh, kw = kernel
+    g_w = np.zeros((c1, bits.shape[2] * kh * kw))
+    # running membrane adjoint; after the reset mask, step k's drive adjoint
+    g_v = np.zeros(spikes.shape[1:])
+    g_v_cells = g_v.reshape(-1)
+    g_v_rows = g_v.reshape(b, c1, -1)
+    scratch = np.empty(g_routed.shape[1:])
+    live = False  # g_v may be non-zero
+    for k in range(t - 1, -1, -1):
+        if live:
+            if not relaxed:
+                np.copyto(g_v, 0.0, where=(spikes[k] != 0))
+            for i, patches in patch_chunks(bits[:, k], kh, kw):
+                g_chunk = g_v_rows[i : i + len(patches)]
+                g_w += np.matmul(g_chunk, patches.transpose(0, 2, 1)).sum(axis=0)
+        # A spike at step k reaches the loss only through later steps, so the
+        # last steps' spike adjoints are exactly zero and add nothing.
+        if not g_routed[k].any():
+            continue
+        live = True
+        g_v_cells[cells[k]] += _surrogate_term(v1_routed[k], g_routed[k], scratch)
+    return g_w
 
 
 def backprop_through_time(
@@ -155,26 +206,18 @@ def backprop_through_time(
     g_s2 = g_s2.reshape(t, b, -1)
     g_j2 = _layer_time_backward(g_s2, tape.v2_pre, tape.s2, relaxed)
 
-    # pool routing and sigma1; time folds into the batch axis for the scatter
-    g_flat = g_j2.reshape(t * b, -1) @ w_fc1
-    c1, oh, ow = model.shape_after_conv()
-    ph, pw = oh // 2, ow // 2
-    g_pooled = g_flat.reshape(t * b, c1, ph, pw)
-    g_s1 = unpool_scatter(
-        g_pooled, tape.route.reshape(t * b, c1, ph, pw), (oh, ow)
-    ).reshape(t, b, c1, oh, ow)
-    g_j1 = _layer_time_backward(g_s1, tape.v1_pre, tape.s1, relaxed)
+    # sigma1: the adjoint of each pooled cell is that of its routed cell's spike
+    g_routed = (g_j2.reshape(t * b, -1) @ w_fc1).reshape(tape.cells.shape)
+    g_w1 = _sigma1_backward(
+        g_routed, tape.v1_routed, tape.cells, tape.s1, relaxed, bits, model.kernel
+    )
 
-    # weight gradients; the conv layer is first, so no input gradient needed
     s2_flat = np.ascontiguousarray(tape.s2.reshape(t * b, -1), dtype=np.float64)
     g_w3 = g_j3.reshape(t * b, -1).T @ s2_flat
     flat_flat = np.ascontiguousarray(tape.flat.reshape(t * b, -1), dtype=np.float64)
     g_w2 = g_j2.reshape(t * b, -1).T @ flat_flat
-    # tape.cols is time-major (t*b*oh*ow, c*kh*kw); order g_j1 to match
-    g_j1_2d = np.ascontiguousarray(g_j1.transpose(0, 1, 3, 4, 2)).reshape(-1, c1)
-    g_w1_2d = g_j1_2d.T @ tape.cols
     grads = {
-        "conv": g_w1_2d.reshape(model.weights["conv"].shape),
+        "conv": g_w1.reshape(model.weights["conv"].shape),
         "fc1": g_w2,
         "fc2": g_w3,
     }
@@ -218,12 +261,23 @@ def adam_step(
     c1 = 1.0 - beta1 ** state.t
     c2 = 1.0 - beta2 ** state.t
     for name in weights:
-        g = grads[name]
-        state.m[name] = beta1 * state.m[name] + (1.0 - beta1) * g
-        state.v[name] = beta2 * state.v[name] + (1.0 - beta2) * np.square(g)
-        m_hat = state.m[name] / c1
-        v_hat = state.v[name] / c2
-        weights[name] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        g, m, v = grads[name], state.m[name], state.v[name]
+        # m = beta1 m + (1 - beta1) g and v = beta2 v + (1 - beta2) g^2,
+        # then w -= lr m_hat / (sqrt(v_hat) + eps), in two scratch arrays
+        step = np.multiply(g, 1.0 - beta1)
+        m *= beta1
+        m += step
+        denom = np.square(g)
+        denom *= 1.0 - beta2
+        v *= beta2
+        v += denom
+        np.divide(m, c1, out=step)
+        step *= lr
+        np.divide(v, c2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += eps
+        step /= denom
+        weights[name] -= step
     return weights, state
 
 

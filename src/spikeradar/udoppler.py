@@ -174,7 +174,11 @@ def compute_range_profiles(
         raise InvalidInput(f"unknown window {window!r}")
     profiles = np.fft.fft(cube.samples * w, n=fft_len, axis=1)
     if gesture_bin is None:
-        gesture_bin = pick_gesture_bin(profiles)
+        # the DFT of real samples puts the same energy in bin k and its mirror
+        # fft_len - k in exact arithmetic, and rounding would pick between
+        # them; searching bins 0..fft_len//2 only lets the lower bin win
+        searched = profiles[:, : fft_len // 2 + 1] if np.isrealobj(cube.samples) else profiles
+        gesture_bin = pick_gesture_bin(searched)
     return RangeProfileSequence(profiles=profiles, gesture_bin=gesture_bin)
 
 

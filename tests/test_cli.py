@@ -164,6 +164,18 @@ def test_exit_code_invalid_input(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_exit_code_malformed_headers(tmp_path, capsys):
+    tensor = tmp_path / "huge.bin"
+    header = {"dtype": "f32", "shape": [2**40] * 3, "axes": ["a", "b", "c"],
+              "endian": "little"}
+    tensor.write_bytes(json.dumps(header).encode() + b"\n")
+    assert main(["plot", "--input", str(tensor), "--out", str(tmp_path / "p")]) == 2
+    model = tmp_path / "model.bin"
+    model.write_bytes(b'{"format": "spikeradar-model"}\n')
+    assert main(["infer", "--model", str(model), "--input", str(tensor)]) == 2
+    capsys.readouterr()
+
+
 def test_exit_code_missing_file(tmp_path, capsys):
     rc = main(["infer", "--model", str(tmp_path / "no_model.bin"),
                "--input", str(tmp_path / "no_tensor.bin")])

@@ -149,6 +149,11 @@ def test_header_validation_rejects_bad_fields(tmp_path):
         lambda h: h.update(axes=["a"]),
         lambda h: h.update(endian="big"),
         lambda h: h.pop("shape"),
+        # element count overflows int64 (np.prod would wrap it to 0)
+        lambda h: h.update(shape=[2**40] * 3, axes=["a", "b", "c"]),
+        # fits int64 but needs far more bytes than the file holds
+        lambda h: h.update(shape=[2**40], axes=["a"]),
+        lambda h: h.update(shape=[True, 4]),
     ]
     for i, mutate in enumerate(cases):
         bad = os.path.join(tmp_path, f"bad{i}.bin")

@@ -1,5 +1,6 @@
 """Spiking network engine vs scalar state-machine references."""
 
+import json
 import os
 
 import numpy as np
@@ -335,3 +336,36 @@ def test_load_rejects_garbage(tmp_path):
         f.write(b"not a model\n\x00\x01")
     with pytest.raises(InvalidInput):
         load_model(path)
+
+
+def test_load_rejects_malformed_manifest(tmp_path):
+    m = init_model(input_shape=(1, 8, 8), n_classes=2, t_inf=2, seed=5)
+    m.quantized = {k: quantize(v, bits=4) for k, v in m.weights.items()}
+    good = os.path.join(tmp_path, "good.bin")
+    save_model(m, good)
+    with open(good, "rb") as f:
+        manifest = json.loads(f.readline())
+        payload = f.read()
+
+    def without(key):
+        return {k: v for k, v in manifest.items() if k != key}
+
+    cases = [
+        {"format": "spikeradar-model"},
+        without("tensors"),
+        without("hidden"),
+        dict(manifest, tensors=["conv", "fc1"]),
+        dict(manifest, hidden="16"),
+        dict(manifest, kernel=[3]),
+        dict(manifest, layers=[dict(manifest["layers"][0], colour="red")]),
+        dict(manifest, layers=[{"kind": "conv2d", "kernel": 5}]),
+        dict(manifest, quantization={"bits": 4}),
+        [1, 2],
+    ]
+    for i, bad in enumerate(cases):
+        path = os.path.join(tmp_path, f"bad{i}.bin")
+        with open(path, "wb") as f:
+            f.write(json.dumps(bad).encode() + b"\n" + payload)
+        with pytest.raises(InvalidInput):
+            load_model(path)
+

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dense_reference import dense_bptt
 from scalar_reference import random_tiny_model, scalar_adam_update
 from spikeradar.data import sanity_spike_dataset
 from spikeradar.errors import InvalidInput, NonFiniteGradient
@@ -22,7 +23,8 @@ from spikeradar.training import (
 )
 
 
-def tiny_model(weights, meta, t_inf, shape=(1, 8, 8), n_classes=3, hidden=7):
+def tiny_model(weights, meta, t_inf, shape=(1, 8, 8), n_classes=3, hidden=7,
+               fire_mode="compare_then_integrate"):
     return SnnModel(
         layers=build_layers(shape, n_classes, meta["c1"], meta["kernel"], hidden),
         weights=weights,
@@ -32,6 +34,7 @@ def tiny_model(weights, meta, t_inf, shape=(1, 8, 8), n_classes=3, hidden=7):
         hidden=hidden,
         conv_channels=meta["c1"],
         kernel=meta["kernel"],
+        fire_mode=fire_mode,
     )
 
 
@@ -124,6 +127,65 @@ def test_bptt_matches_finite_differences():
         assert err < 1e-3, f"trial {trial}: max rel grad error {err}"
 
 
+def max_rel_error(grads, ref):
+    """Worst over tensors of max |a - b| relative to the reference's max |b|."""
+    worst = 0.0
+    for name, g in ref.items():
+        scale = np.abs(g).max()
+        err = np.abs(grads[name] - g).max()
+        worst = max(worst, err / scale if scale > 0 else err)
+    return worst
+
+
+@pytest.mark.parametrize("fire_mode", ["compare_then_integrate",
+                                       "integrate_then_fire"])
+@pytest.mark.parametrize("mode", ["hard", "relaxed"])
+def test_bptt_matches_dense_reference_tiny(mode, fire_mode):
+    """Lean BPTT vs the dense im2col/full-surrogate/unpool algorithm."""
+    rng = np.random.default_rng(75)
+    for trial in range(12):
+        t_inf = int(rng.integers(1, 6))
+        n_classes = int(rng.integers(2, 5))
+        hidden = int(rng.integers(4, 9))
+        # 9 rows or columns give an odd conv output, so the pool truncates
+        shape = [(1, 8, 8), (2, 9, 8), (1, 8, 9)][trial % 3]
+        weights, bits, meta = random_tiny_model(
+            rng, t_inf=t_inf, shape=shape, n_classes=n_classes, hidden=hidden,
+            dyadic=True, scale=1.0,
+        )
+        model = tiny_model(weights, meta, t_inf, shape, n_classes, hidden,
+                           fire_mode=fire_mode)
+        batch = (rng.random((5,) + bits.shape) < 0.35).astype(np.uint8)
+        labels = rng.integers(0, n_classes, size=5).astype(np.int64)
+        grads, loss, probs = backprop_through_time(model, batch, labels, mode=mode)
+        ref, ref_loss, ref_probs = dense_bptt(model, batch, labels, mode=mode)
+        assert np.allclose(probs, ref_probs, rtol=1e-13, atol=0), trial
+        assert loss == pytest.approx(ref_loss, rel=1e-13), trial
+        assert max_rel_error(grads, ref) < 1e-12, trial
+
+
+@pytest.mark.parametrize("kernel", [(5, 5), (4, 4)])
+@pytest.mark.parametrize("mode", ["hard", "relaxed"])
+def test_bptt_matches_dense_reference_full_size(mode, kernel):
+    """48x100 input; the 4x4 kernel leaves a 45x97 map with odd edges."""
+    rng = np.random.default_rng(76)
+    model = init_model(input_shape=(1, 48, 100), n_classes=5, t_inf=4,
+                       seed=3, kernel=kernel)
+    # louder layers so that sigma1..sigma3 all spike on random input
+    model.weights["conv"] *= 3.0
+    model.weights["fc1"] *= 8.0
+    model.weights["fc2"] *= 8.0
+    batch = (rng.random((6, 4, 1, 48, 100)) < 0.12).astype(np.uint8)
+    labels = np.arange(6, dtype=np.int64) % 5
+    grads, _, probs = backprop_through_time(model, batch, labels, mode=mode)
+    ref, _, ref_probs = dense_bptt(model, batch, labels, mode=mode)
+    if mode == "hard":
+        counts = forward_batch(model, batch).spike_counts
+        assert all(counts[f"sigma{i}"].sum() > 0 for i in (1, 2, 3))
+    assert np.allclose(probs, ref_probs, rtol=1e-13, atol=0)
+    assert max_rel_error(grads, ref) < 1e-12
+
+
 def test_hard_gradients_finite_and_nonzero():
     rng = np.random.default_rng(71)
     weights, bits, meta = random_tiny_model(rng, t_inf=4, scale=0.9)
@@ -186,6 +248,31 @@ def test_adam_matches_scalar_oracle_over_steps():
             ow, list(g["a"]), om, ov, t, 3e-3, 0.9, 0.999, 1e-8
         )
         assert np.allclose(w["a"], ow, rtol=1e-12, atol=1e-15), f"step {t}"
+
+
+def test_adam_in_place_update_is_bit_identical():
+    """The in-place update keeps the operation order of the plain formula."""
+    rng = np.random.default_rng(77)
+    w = {"a": rng.standard_normal(500), "b": rng.standard_normal((7, 9))}
+    state = AdamState.for_weights(w)
+    m_arrays = dict(state.m)
+    ref_w = {k: v.copy() for k, v in w.items()}
+    ref_m = {k: np.zeros_like(v) for k, v in w.items()}
+    ref_v = {k: np.zeros_like(v) for k, v in w.items()}
+    lr, beta1, beta2, eps = 2e-3, 0.9, 0.999, 1e-8
+    for t in range(1, 9):
+        g = {k: rng.standard_normal(v.shape) * 10.0 ** -t for k, v in w.items()}
+        adam_step(w, g, state, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+        for k in ref_w:
+            ref_m[k] = beta1 * ref_m[k] + (1.0 - beta1) * g[k]
+            ref_v[k] = beta2 * ref_v[k] + (1.0 - beta2) * np.square(g[k])
+            m_hat = ref_m[k] / (1.0 - beta1 ** t)
+            v_hat = ref_v[k] / (1.0 - beta2 ** t)
+            ref_w[k] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            assert np.array_equal(w[k], ref_w[k]), (k, t)
+            assert np.array_equal(state.m[k], ref_m[k]), (k, t)
+            assert np.array_equal(state.v[k], ref_v[k]), (k, t)
+            assert state.m[k] is m_arrays[k]
 
 
 def test_adam_rejects_non_finite_gradient():

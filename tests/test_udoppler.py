@@ -104,6 +104,37 @@ def test_pick_gesture_bin_finds_energetic_bin():
     assert pick_gesture_bin(seq) == 9
 
 
+def test_auto_pick_takes_lower_bin_of_mirror_pair_for_real_samples():
+    # real samples put the same energy in bin k and fft_len - k
+    n = 64
+    t = np.arange(n)
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(3, 20))
+        tones = [np.cos(2 * np.pi * k * t / n + phi)
+                 for phi in rng.uniform(0, 2 * np.pi, size=16)]
+        samples = (np.stack(tones) + 0.05 * rng.standard_normal((16, n))).astype(np.float32)
+        assert compute_range_profiles(make_cube(samples)).gesture_bin == k, seed
+
+
+def test_auto_pick_ignores_mirror_bin_rounded_up(monkeypatch):
+    # the lower bin wins for real samples even where rounding leaves its
+    # mirror with more energy; here the mirror is made larger by one ulp
+    n, k = 64, 9
+    samples = np.tile(np.cos(2 * np.pi * k * np.arange(n) / n), (8, 1))
+    fft = np.fft.fft
+
+    def mirror_rounded_up(x, n=None, axis=-1):
+        out = fft(x, n=n, axis=axis)
+        out[:, out.shape[1] - k] = np.nextafter(np.abs(out[:, k]), np.inf)
+        return out
+
+    monkeypatch.setattr(np.fft, "fft", mirror_rounded_up)
+    seq = compute_range_profiles(make_cube(samples))
+    assert pick_gesture_bin(seq) == n - k
+    assert seq.gesture_bin == k
+
+
 # ── DC removal ──────────────────────────────────────────────────────────────
 
 
