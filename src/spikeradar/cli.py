@@ -352,8 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument("--verbose", action="store_true",
                         help="debug-level logging")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker hint; results never depend on it")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic uDoppler dataset")

@@ -220,25 +220,24 @@ def init_model(
 # neuron update
 
 
-def _if_update(v: np.ndarray, drive: np.ndarray, fire_mode: str):
+def _if_update(v: np.ndarray, drive: np.ndarray, fire_mode: str, out=None):
     """One IF step. Returns (v_next, spikes) with spikes as a bool array.
 
     The spike decision reads the PRE-update potential; on a spiking step the
     incoming drive is discarded entirely. Negative potentials (possible with
-    negative weights) are clamped to 0 after the update.
+    negative weights) are clamped to 0 after the update. v_next is written
+    into out when given, which must not share memory with v.
     """
     if fire_mode == "compare_then_integrate":
         spikes = v >= THRESHOLD
-        v_next = v + drive
-        np.maximum(v_next, 0.0, out=v_next)
-        np.copyto(v_next, 0.0, where=spikes)
+        v_next = np.add(v, drive, out=out)
     elif fire_mode == "integrate_then_fire":
-        v_next = v + drive
+        v_next = np.add(v, drive, out=out)
         spikes = v_next >= THRESHOLD
-        np.maximum(v_next, 0.0, out=v_next)
-        np.copyto(v_next, 0.0, where=spikes)
     else:
         raise InvalidInput(f"unknown fire_mode {fire_mode!r}")
+    np.maximum(v_next, 0.0, out=v_next)
+    np.copyto(v_next, 0.0, where=spikes)
     return v_next, spikes
 
 
@@ -459,19 +458,31 @@ def forward_batch(
     hard = mode == "hard"
     spike_dtype = np.uint8 if hard else np.float64
 
-    v1 = np.zeros((b, c1, oh, ow))
-    v2 = np.zeros((b, model.hidden))
-    v3 = np.zeros((b, model.n_classes))
+    # Each layer's membrane alternates between two buffers: a step reads one
+    # and writes the next potential into the other.
+    v1, v1_spare = np.zeros((b, c1, oh, ow)), np.empty((b, c1, oh, ow))
+    v2, v2_spare = np.zeros((b, model.hidden)), np.empty((b, model.hidden))
+    v3, v3_spare = np.zeros((b, model.n_classes)), np.empty((b, model.n_classes))
     acc = np.zeros((b, model.n_classes))
 
-    # The conv drive depends on the input alone. The last step's drive only
-    # feeds V_T, which nothing reads, unless sigma1 integrates before it
-    # fires; a skipped step leaves j1 holding the previous step's drive.
+    def fire(v, drive, out):
+        """(v_next, spikes) of one IF layer, v_next written into out."""
+        if hard:
+            v_next, s = _if_update(v, drive, model.fire_mode, out=out)
+            return v_next, s.view(np.uint8)
+        return np.add(v, drive, out=out), relaxed_spike(v)
+
+    # A step's drives only feed the next step's potentials, so the last
+    # step's drives feed V_T, which nothing reads, unless the layers
+    # integrate before they fire. Skipped steps leave each drive holding the
+    # previous step's; the conv drive depends on the input alone.
+    drive_steps = t if hard and model.fire_mode == "integrate_then_fire" else t - 1
     kh, kw = model.kernel
     w_conv2 = w_conv.reshape(c1, -1)
-    conv_steps = t if hard and model.fire_mode == "integrate_then_fire" else t - 1
     j1 = np.zeros((b, c1, oh, ow))
     j1_rows = j1.reshape(b, c1, oh * ow)
+    j2 = np.zeros((b, model.hidden))
+    j3 = np.zeros((b, model.n_classes))
 
     tape = None
     if want_tape:
@@ -499,31 +510,19 @@ def forward_batch(
     per_step = np.zeros((t, 4), dtype=np.int64)
 
     for k in range(t):
-        if k < conv_steps:
+        live = k < drive_steps
+        if live:
             for i, patches in patch_chunks(bits[:, k], kh, kw):
                 np.matmul(w_conv2, patches, out=j1_rows[i : i + len(patches)])
-        if hard:
-            v1_next, s1_b = _if_update(v1, j1, model.fire_mode)
-            s1 = s1_b.view(np.uint8)
-        else:
-            s1 = relaxed_spike(v1)
-            v1_next = v1 + j1
+        v1_next, s1 = fire(v1, j1, v1_spare)
         pooled, route = _maxpool_route(s1, want_route=want_tape)
         flat = pooled.reshape(b, -1)
-        j2 = dense_drive(flat, w_fc1)
-        if hard:
-            v2_next, s2_b = _if_update(v2, j2, model.fire_mode)
-            s2 = s2_b.view(np.uint8)
-        else:
-            s2 = relaxed_spike(v2)
-            v2_next = v2 + j2
-        j3 = dense_drive(s2, w_fc2)
-        if hard:
-            v3_next, s3_b = _if_update(v3, j3, model.fire_mode)
-            s3 = s3_b.view(np.uint8)
-        else:
-            s3 = relaxed_spike(v3)
-            v3_next = v3 + j3
+        if live:
+            j2 = dense_drive(flat, w_fc1)
+        v2_next, s2 = fire(v2, j2, v2_spare)
+        if live:
+            j3 = dense_drive(s2, w_fc2)
+        v3_next, s3 = fire(v3, j3, v3_spare)
         acc += s3
 
         if want_tape:
@@ -542,7 +541,9 @@ def forward_batch(
                 step_counts = s.reshape(b, -1).sum(axis=1, dtype=np.int64)
                 n_spikes[layer] += step_counts
                 per_step[k, layer + 1] = step_counts.sum()
-        v1, v2, v3 = v1_next, v2_next, v3_next
+        v1, v1_spare = v1_next, v1
+        v2, v2_spare = v2_next, v2
+        v3, v3_spare = v3_next, v3
 
     n_input_steps = bits.reshape(b, t, -1).sum(axis=2, dtype=np.int64)
     if hard:

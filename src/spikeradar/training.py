@@ -16,13 +16,15 @@ where the same recurrence is exact). Layers are processed sigma3 -> sigma2
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import stratified_folds
-from .errors import InvalidInput, NonFiniteGradient, StratificationError
+from .errors import InvalidInput, NonFiniteGradient
 from .quant import quantize
 from .snn import (
     THRESHOLD,
@@ -395,6 +397,168 @@ def evaluate(model: SnnModel, bits: np.ndarray, labels: np.ndarray,
     return correct / n, confusion
 
 
+@dataclass(frozen=True)
+class _FoldJob:
+    """What every fold of one train call reads."""
+
+    model: SnnModel
+    bits: np.ndarray
+    labels: np.ndarray
+    fold_ids: np.ndarray
+    cfg: TrainConfig
+
+
+def _train_fold(job: _FoldJob, fold: int):
+    """Train and evaluate one fold: a fresh init seeded by (cfg.seed, fold),
+    epochs_full full-precision epochs, epochs_qat QAT epochs, a final
+    quantization and the quantized evaluation on the held-out fold.
+
+    Returns:
+        (accuracy, confusion, loss_curve, fold_model).
+    """
+    model, bits, labels, cfg = job.model, job.bits, job.labels, job.cfg
+    val_mask = job.fold_ids == fold
+    train_idx = np.flatnonzero(~val_mask)
+    val_idx = np.flatnonzero(val_mask)
+
+    m = init_model(
+        input_shape=model.input_shape,
+        n_classes=model.n_classes,
+        t_inf=model.t_inf,
+        seed=[cfg.seed, fold, 0],
+        hidden=model.hidden,
+        conv_channels=model.conv_channels,
+        kernel=model.kernel,
+        fire_mode=model.fire_mode,
+    )
+    shuffle_rng = np.random.default_rng([cfg.seed, fold, 1])
+    adam = AdamState.for_weights(m.weights)
+    curve = []
+
+    for _ in range(cfg.epochs_full):
+        perm = shuffle_rng.permutation(train_idx)
+        loss_sum = 0.0
+        for batch_idx in _batches(perm, cfg.batch):
+            grads, loss, _ = backprop_through_time(
+                m, bits[batch_idx], labels[batch_idx]
+            )
+            adam_step(m.weights, grads, adam, lr=cfg.lr,
+                      beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
+            loss_sum += loss * len(batch_idx)
+        curve.append(loss_sum / len(train_idx))
+
+    for _ in range(cfg.epochs_qat):
+        perm = shuffle_rng.permutation(train_idx)
+        loss_sum = 0.0
+        for batch_idx in _batches(perm, cfg.batch):
+            # The quantized view is rebuilt from the just-updated master
+            # before every batch, never reused stale.
+            m.quantized = _quantize_all(m.weights, cfg.bits)
+            grads, loss, _ = backprop_through_time(
+                m, bits[batch_idx], labels[batch_idx],
+                use_quantized_forward=True,
+            )
+            adam_step(m.weights, grads, adam, lr=cfg.lr,
+                      beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
+            loss_sum += loss * len(batch_idx)
+        curve.append(loss_sum / len(train_idx))
+
+    m.quantized = _quantize_all(m.weights, cfg.bits)
+    acc, confusion = evaluate(
+        m, bits[val_idx], labels[val_idx], use_quantized=True, batch=cfg.batch,
+    )
+    return acc, confusion, curve, m
+
+
+# ---------------------------------------------------------------------------
+# fold pool
+
+
+def _blas_thread_setters() -> list:
+    """The thread-count setters of the OpenBLAS libraries loaded in this
+    process, found through /proc/self/maps; empty where there is none."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as f:
+            paths = {line.split()[-1] for line in f if "openblas" in line}
+    except OSError:
+        return []
+    setters = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        # numpy's and scipy's bundled builds, then a system OpenBLAS
+        for name in ("scipy_openblas_set_num_threads64_",
+                     "scipy_openblas_set_num_threads", "openblas_set_num_threads"):
+            if hasattr(lib, name):
+                setter = getattr(lib, name)
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                setters.append(setter)
+                break
+    return setters
+
+
+def _fold_workers(folds: int) -> int:
+    """Processes to train the folds on: one per CPU in this process's
+    affinity mask, at most one per fold.
+
+    Each worker must run BLAS on one thread, or the workers' BLAS threads
+    outnumber the cores; where no OpenBLAS setter is found, 1.
+    """
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else {0}
+    n = min(folds, len(cpus))
+    if n > 1 and not _blas_thread_setters():
+        return 1
+    return n
+
+
+_worker_job = None  # set in worker processes only, by _start_worker
+
+
+def _start_worker(job: _FoldJob) -> None:
+    """Pool initializer: keep the job the fork inherited, one BLAS thread."""
+    global _worker_job
+    _worker_job = job
+    for setter in _blas_thread_setters():
+        setter(1)
+
+
+def _train_worker_fold(fold: int):
+    return _train_fold(_worker_job, fold)
+
+
+def _fold_results(job: _FoldJob, workers: int):
+    """Yield _train_fold's result for every fold, in fold order.
+
+    With one worker the folds run in this process. Otherwise they run on
+    forked workers, which inherit the job without pickling it; the pool is
+    shut down and joined before this generator ends, also on an error,
+    after the folds already running finish.
+    """
+    folds = job.cfg.folds
+    if workers == 1:
+        yield from (_train_fold(job, fold) for fold in range(folds))
+        return
+    # imported here to keep them out of the package's import time
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork, so the workers share the dataset's pages instead of each
+    # unpickling a copy; OpenBLAS shuts its thread pool down before a fork
+    pool = ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"),
+        initializer=_start_worker, initargs=(job,),
+    )
+    try:
+        yield from pool.map(_train_worker_fold, range(folds))
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
 def train(model: SnnModel, dataset, cfg: TrainConfig):
     """k-fold cross-validation training.
 
@@ -409,6 +573,10 @@ def train(model: SnnModel, dataset, cfg: TrainConfig):
     with the forward on weights re-quantized from the updated master before
     every batch; the fold model is then quantized once more from the final
     master and evaluated with the quantized forward on the held-out fold.
+
+    The folds are independent, so they run on one forked worker process per
+    CPU in the affinity mask, each with one BLAS thread. The result does not
+    depend on the number of workers.
 
     Returns:
         (best_model, report): the fold model with the highest validation
@@ -430,83 +598,30 @@ def train(model: SnnModel, dataset, cfg: TrainConfig):
             f"labels outside [0, {model.n_classes}) for this model"
         )
 
+    # Every class holds at least cfg.folds examples, dealt round-robin, or
+    # this raises StratificationError; so every training split holds every
+    # class, and nothing has trained yet when a split could not.
     fold_ids = stratified_folds(labels, folds=cfg.folds, seed=cfg.seed)
-    classes = np.unique(labels)
+    job = _FoldJob(model, bits, labels, fold_ids, cfg)
 
     accuracies = []
     loss_curves = []
     confusion = np.zeros((model.n_classes, model.n_classes), dtype=np.int64)
     best = None
-
-    for fold in range(cfg.folds):
-        val_mask = fold_ids == fold
-        train_idx = np.flatnonzero(~val_mask)
-        val_idx = np.flatnonzero(val_mask)
-        present = np.unique(labels[train_idx])
-        if len(present) != len(classes):
-            missing = sorted(set(classes.tolist()) - set(present.tolist()))
-            raise StratificationError(
-                f"fold {fold}: classes {missing} absent from the training split"
-            )
-
-        m = init_model(
-            input_shape=model.input_shape,
-            n_classes=model.n_classes,
-            t_inf=model.t_inf,
-            seed=[cfg.seed, fold, 0],
-            hidden=model.hidden,
-            conv_channels=model.conv_channels,
-            kernel=model.kernel,
-            fire_mode=model.fire_mode,
-        )
-        shuffle_rng = np.random.default_rng([cfg.seed, fold, 1])
-        adam = AdamState.for_weights(m.weights)
-        curve = []
-
-        for _ in range(cfg.epochs_full):
-            perm = shuffle_rng.permutation(train_idx)
-            loss_sum = 0.0
-            for batch_idx in _batches(perm, cfg.batch):
-                grads, loss, _ = backprop_through_time(
-                    m, bits[batch_idx], labels[batch_idx]
-                )
-                adam_step(m.weights, grads, adam, lr=cfg.lr,
-                          beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
-                loss_sum += loss * len(batch_idx)
-            curve.append(loss_sum / len(train_idx))
-
-        for _ in range(cfg.epochs_qat):
-            perm = shuffle_rng.permutation(train_idx)
-            loss_sum = 0.0
-            for batch_idx in _batches(perm, cfg.batch):
-                # The quantized view is rebuilt from the just-updated master
-                # before every batch, never reused stale.
-                m.quantized = _quantize_all(m.weights, cfg.bits)
-                grads, loss, _ = backprop_through_time(
-                    m, bits[batch_idx], labels[batch_idx],
-                    use_quantized_forward=True,
-                )
-                adam_step(m.weights, grads, adam, lr=cfg.lr,
-                          beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
-                loss_sum += loss * len(batch_idx)
-            curve.append(loss_sum / len(train_idx))
-
-        m.quantized = _quantize_all(m.weights, cfg.bits)
-        acc, fold_confusion = evaluate(
-            m, bits[val_idx], labels[val_idx], use_quantized=True,
-            batch=cfg.batch,
-        )
-        accuracies.append(acc)
-        loss_curves.append(curve)
-        confusion += fold_confusion
-        if best is None or acc > best[0]:
-            m.provenance = {
-                "trained_on": "fold-cv",
-                "fold": fold,
-                "config": cfg.to_dict(),
-                "n_examples": int(bits.shape[0]),
-            }
-            best = (acc, m)
+    results = _fold_results(job, _fold_workers(cfg.folds))
+    with contextlib.closing(results):
+        for fold, (acc, fold_confusion, curve, m) in enumerate(results):
+            accuracies.append(acc)
+            loss_curves.append(curve)
+            confusion += fold_confusion
+            if best is None or acc > best[0]:
+                m.provenance = {
+                    "trained_on": "fold-cv",
+                    "fold": fold,
+                    "config": cfg.to_dict(),
+                    "n_examples": int(bits.shape[0]),
+                }
+                best = (acc, m)
 
     report = FoldReport(
         fold_accuracies=accuracies,

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from spikeradar import training
 from spikeradar.cli import main
 from spikeradar.container import read_tensor, write_tensor
 from spikeradar.data import ingest_external, read_manifest
@@ -174,6 +175,25 @@ def test_exit_code_malformed_headers(tmp_path, capsys):
     model.write_bytes(b'{"format": "spikeradar-model"}\n')
     assert main(["infer", "--model", str(model), "--input", str(tensor)]) == 2
     capsys.readouterr()
+
+
+def test_exit_code_training_error_in_worker(synth_dir, tmp_path, monkeypatch,
+                                            capsys):
+    real = training.backprop_through_time
+
+    def nan_bptt(*args, **kwargs):
+        grads, loss, probs = real(*args, **kwargs)
+        grads["conv"][0, 0, 0, 0] = np.inf
+        return grads, loss, probs
+
+    monkeypatch.setattr(training, "backprop_through_time", nan_bptt)
+    monkeypatch.setattr(training, "_fold_workers", lambda folds: 2)
+    rc = main(["train", "--dataset", str(synth_dir), "--tinf", "4",
+               "--epochs", "1", "--qat-epochs", "0", "--folds", "2",
+               "--batch", "8", "--hidden", "16",
+               "--out", str(tmp_path / "model.bin")])
+    assert rc == 1
+    assert "non-finite gradient" in capsys.readouterr().err
 
 
 def test_exit_code_missing_file(tmp_path, capsys):

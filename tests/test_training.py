@@ -1,13 +1,16 @@
 """Surrogate-gradient BPTT trainer: gradients, Adam, schedules, folds."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
 from dense_reference import dense_bptt
 from scalar_reference import random_tiny_model, scalar_adam_update
+from spikeradar import training
 from spikeradar.data import sanity_spike_dataset
-from spikeradar.errors import InvalidInput, NonFiniteGradient
-from spikeradar.snn import SnnModel, build_layers, forward_batch, init_model
+from spikeradar.errors import InvalidInput, NonFiniteGradient, StratificationError
+from spikeradar.snn import SnnModel, build_layers, forward_batch, init_model, save_model
 from spikeradar.training import (
     GAIN_AT_THRESHOLD,
     AdamState,
@@ -385,3 +388,68 @@ def test_evaluate_confusion_shape():
     assert 0.0 <= acc <= 1.0
     assert confusion.shape == (2, 2)
     assert confusion.sum() == len(labels)
+
+
+# ── fold pool ───────────────────────────────────────────────────────────────
+
+
+def force_workers(monkeypatch, n):
+    monkeypatch.setattr(training, "_fold_workers", lambda folds: n)
+
+
+def test_stratification_error_before_any_training(monkeypatch):
+    bits, labels = small_sanity(n_per_class=12, seed=84)
+    keep = np.concatenate([np.flatnonzero(labels == 0), np.flatnonzero(labels == 1)[:2]])
+    calls = []
+
+    def counting_bptt(*args, **kwargs):
+        calls.append(1)
+        return backprop_through_time(*args, **kwargs)
+
+    monkeypatch.setattr(training, "backprop_through_time", counting_bptt)
+    force_workers(monkeypatch, 1)  # the calls are counted in this process
+    m = init_model(input_shape=(1, 12, 12), n_classes=2, t_inf=4, seed=0)
+    cfg = TrainConfig(epochs_full=1, epochs_qat=0, folds=3, seed=2)
+    with pytest.raises(StratificationError):
+        train(m, (bits[keep], labels[keep]), cfg)
+    assert calls == []
+    _, report = train(m, (bits, labels), cfg)  # the counter does count
+    assert len(calls) > 0 and len(report.fold_accuracies) == 3
+
+
+def test_worker_count_does_not_change_result(monkeypatch, tmp_path):
+    # more folds than workers, so a worker trains two of them
+    bits, labels = small_sanity(n_per_class=12, seed=85)
+    cfg = TrainConfig(lr=1e-2, epochs_full=2, epochs_qat=1, folds=3, batch=8,
+                      seed=6)
+    outputs = []
+    for workers in (1, 2):
+        force_workers(monkeypatch, workers)
+        m = init_model(input_shape=(1, 12, 12), n_classes=2, t_inf=4, seed=0)
+        best, report = train(m, (bits, labels), cfg)
+        assert multiprocessing.active_children() == []
+        path = tmp_path / f"workers{workers}.bin"
+        save_model(best, str(path))
+        outputs.append((path.read_bytes(), report.to_json()))
+    assert outputs[0][0] == outputs[1][0]
+    assert outputs[0][1] == outputs[1][1]
+
+
+def test_worker_error_reaches_caller_and_workers_end(monkeypatch):
+    real = training.backprop_through_time
+
+    def nan_bptt(*args, **kwargs):  # adam_step rejects the NaN gradient
+        grads, loss, probs = real(*args, **kwargs)
+        grads["fc2"][0, 0] = np.nan
+        return grads, loss, probs
+
+    monkeypatch.setattr(training, "backprop_through_time", nan_bptt)
+    force_workers(monkeypatch, 2)
+    bits, labels = small_sanity(n_per_class=12, seed=86)
+    m = init_model(input_shape=(1, 12, 12), n_classes=2, t_inf=4, seed=0)
+    cfg = TrainConfig(epochs_full=1, epochs_qat=0, folds=3, batch=8, seed=7)
+    with pytest.raises(NonFiniteGradient) as info:
+        train(m, (bits, labels), cfg)
+    # raised in a worker: the pool attaches the worker's traceback
+    assert type(info.value.__cause__).__name__ == "_RemoteTraceback"
+    assert multiprocessing.active_children() == []
