@@ -5,189 +5,27 @@ micro-Doppler or range-Doppler representations, time-to-first-spike
 encoding, a quantized integrate-and-fire network trained with
 surrogate-gradient backpropagation through time, and an energy model
 for spike-driven hardware.
+
+The top level holds the dataset-to-trained-model path; everything else is
+imported from its module (spikeradar.udoppler, spikeradar.snn, ...).
 """
 
 __version__ = "0.1.0"
 
-from .container import (
-    dtype_tag_for,
-    file_digest,
-    read_tensor,
-    read_tensor_from,
-    write_tensor,
-    write_tensor_to,
-)
-from .data import (
-    DatasetManifest,
-    LabeledExample,
-    balance_dataset,
-    dataset_info,
-    encode_examples,
-    export_dataset,
-    ingest_external,
-    nearest_centroid_accuracy,
-    read_manifest,
-    sanity_spike_dataset,
-    stratified_folds,
-    synth_class_names,
-    synth_udoppler,
-)
-from .encoding import SpikeTensor, ttfs_encode, ttfs_step, unwrap_binary, wrap_binary
-from .energy import (
-    EnergyReport,
-    HardwareProfile,
-    energy_per_classification,
-    report_for_dataset,
-    spike_counts_for_batch,
-)
-from .errors import (
-    CorruptDataset,
-    InvalidInput,
-    MissingQuantizedWeights,
-    NonFiniteGradient,
-    SpikeRadarError,
-    StratificationError,
-)
-from .quant import QuantizedTensor, dequantize, quantize
-from .rangedoppler import (
-    BinaryRdSequence,
-    RangeDopplerSequence,
-    bin_boundaries,
-    binarize,
-    temporal_subsample,
-)
-from .snn import (
-    THRESHOLD,
-    ForwardTrace,
-    IfState,
-    SnnModel,
-    forward,
-    forward_batch,
-    if_step,
-    init_model,
-    load_model,
-    maxpool_spikes,
-    relaxed_spike,
-    save_model,
-    softmax,
-)
-from .training import (
-    GAIN_AT_THRESHOLD,
-    AdamState,
-    FoldReport,
-    TrainConfig,
-    adam_step,
-    backprop_through_time,
-    cross_entropy,
-    evaluate,
-    spike_backward,
-    surrogate_gain,
-    train,
-)
-from .udoppler import (
-    MicroDopplerMap,
-    RadarCube,
-    RangeProfileSequence,
-    StftConfig,
-    band_column_range,
-    compute_range_profiles,
-    count_stft_frames,
-    cut_maps,
-    dc_removed_sequence,
-    default_fft_len,
-    doppler_frequencies,
-    keep_top_k_rows,
-    normalize_and_denoise,
-    pick_gesture_bin,
-    process_cube,
-    stft_magnitude,
-    suggested_top_k,
-)
+from .data import encode_examples, ingest_external, synth_udoppler
+from .quant import dequantize, quantize
+from .snn import init_model
+from .training import TrainConfig, surrogate_gain, train
 
 __all__ = [
     "__version__",
-    "AdamState",
-    "BinaryRdSequence",
-    "CorruptDataset",
-    "DatasetManifest",
-    "EnergyReport",
-    "ForwardTrace",
-    "FoldReport",
-    "GAIN_AT_THRESHOLD",
-    "HardwareProfile",
-    "IfState",
-    "InvalidInput",
-    "LabeledExample",
-    "MicroDopplerMap",
-    "MissingQuantizedWeights",
-    "NonFiniteGradient",
-    "QuantizedTensor",
-    "RadarCube",
-    "RangeDopplerSequence",
-    "RangeProfileSequence",
-    "SnnModel",
-    "SpikeRadarError",
-    "SpikeTensor",
-    "StftConfig",
-    "StratificationError",
-    "THRESHOLD",
     "TrainConfig",
-    "adam_step",
-    "backprop_through_time",
-    "balance_dataset",
-    "band_column_range",
-    "bin_boundaries",
-    "binarize",
-    "compute_range_profiles",
-    "count_stft_frames",
-    "cross_entropy",
-    "cut_maps",
-    "dataset_info",
-    "dc_removed_sequence",
-    "default_fft_len",
     "dequantize",
-    "doppler_frequencies",
-    "dtype_tag_for",
     "encode_examples",
-    "energy_per_classification",
-    "evaluate",
-    "export_dataset",
-    "file_digest",
-    "forward",
-    "forward_batch",
-    "if_step",
     "ingest_external",
     "init_model",
-    "keep_top_k_rows",
-    "load_model",
-    "maxpool_spikes",
-    "nearest_centroid_accuracy",
-    "normalize_and_denoise",
-    "pick_gesture_bin",
-    "process_cube",
     "quantize",
-    "read_manifest",
-    "read_tensor",
-    "read_tensor_from",
-    "relaxed_spike",
-    "report_for_dataset",
-    "sanity_spike_dataset",
-    "save_model",
-    "softmax",
-    "spike_backward",
-    "spike_counts_for_batch",
-    "stft_magnitude",
-    "stratified_folds",
-    "suggested_top_k",
     "surrogate_gain",
-    "synth_class_names",
     "synth_udoppler",
-    "temporal_subsample",
     "train",
-    "ttfs_encode",
-    "ttfs_step",
-    "unwrap_binary",
-    "wrap_binary",
-    "write_tensor",
-    "write_tensor_to",
 ]

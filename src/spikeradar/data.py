@@ -1,5 +1,5 @@
-"""Dataset plumbing: ingestion, export, balancing, fold splits, and the
-synthetic gesture generators.
+"""Dataset plumbing: ingestion, export, fold splits, and the synthetic
+gesture generator.
 
 A dataset directory holds container-format payload files plus a
 manifest.json:
@@ -81,29 +81,23 @@ class DatasetManifest:
 # export / ingest
 
 
-def _payload_kind(payload) -> str:
-    if isinstance(payload, MicroDopplerMap):
-        return "udoppler"
-    if isinstance(payload, (RangeDopplerSequence, BinaryRdSequence)):
-        return "rangedoppler"
-    if isinstance(payload, SpikeTensor):
-        return "spikes"
-    raise InvalidInput(f"unsupported payload type {type(payload).__name__}")
+# Payload type -> (pipeline, array field, axes, container dtype) of its file.
+_PAYLOAD_FILES = {
+    MicroDopplerMap: ("udoppler", "values", ["time", "doppler"], "f32"),
+    RangeDopplerSequence: ("rangedoppler", "frames", ["frame", "range", "doppler"], "f32"),
+    BinaryRdSequence: ("rangedoppler", "frames", ["step", "range", "doppler"], "u1"),
+    SpikeTensor: ("spikes", "bits", ["time", "channel", "height", "width"], "u1"),
+}
 
 
-def _write_payload(path, payload) -> None:
-    if isinstance(payload, MicroDopplerMap):
-        write_tensor(path, payload.values, ["time", "doppler"], dtype="f32")
-    elif isinstance(payload, RangeDopplerSequence):
-        write_tensor(path, payload.frames, ["frame", "range", "doppler"], dtype="f32")
-    elif isinstance(payload, BinaryRdSequence):
-        write_tensor(path, payload.frames, ["step", "range", "doppler"], dtype="u1")
-    elif isinstance(payload, SpikeTensor):
-        write_tensor(
-            path, payload.bits, ["time", "channel", "height", "width"], dtype="u1"
-        )
-    else:
-        raise InvalidInput(f"unsupported payload type {type(payload).__name__}")
+def _payload_file(payload) -> tuple:
+    """(pipeline, array field, axes, dtype) under which payload is exported."""
+    try:
+        return _PAYLOAD_FILES[type(payload)]
+    except KeyError:
+        raise InvalidInput(
+            f"unsupported payload type {type(payload).__name__}"
+        ) from None
 
 
 def export_dataset(
@@ -112,7 +106,7 @@ def export_dataset(
     """Write examples plus manifest.json into a directory."""
     if not examples:
         raise InvalidInput("cannot export an empty dataset")
-    pipeline = _payload_kind(examples[0].payload)
+    pipeline = _payload_file(examples[0].payload)[0]
     labels = [ex.label for ex in examples]
     n_classes = max(labels) + 1
     if class_names is None:
@@ -127,10 +121,12 @@ def export_dataset(
     os.makedirs(out_dir, exist_ok=True)
     entries = []
     for i, ex in enumerate(examples):
-        if _payload_kind(ex.payload) != pipeline:
+        kind, field, axes, dtype = _payload_file(ex.payload)
+        if kind != pipeline:
             raise InvalidInput("mixed payload kinds in one dataset")
         fname = f"ex{i:05d}.bin"
-        _write_payload(os.path.join(out_dir, fname), ex.payload)
+        write_tensor(os.path.join(out_dir, fname), getattr(ex.payload, field), axes,
+                     dtype=dtype)
         entries.append(
             {
                 "file": fname,
@@ -280,27 +276,7 @@ def dataset_info(dataset_dir) -> DatasetManifest:
 
 
 # ---------------------------------------------------------------------------
-# balancing and folds
-
-
-def balance_dataset(examples, seed: int = 0):
-    """Subsample every class down to the minimum per-class count.
-
-    Kept examples are chosen uniformly without replacement (seeded) and the
-    original order (hence within-class temporal order) is preserved.
-    """
-    labels = np.asarray([ex.label for ex in examples])
-    if labels.size == 0:
-        raise InvalidInput("cannot balance an empty dataset")
-    classes = np.unique(labels)
-    min_count = min(int((labels == c).sum()) for c in classes)
-    rng = np.random.default_rng(seed)
-    keep = np.zeros(len(examples), dtype=bool)
-    for c in classes:
-        idx = np.flatnonzero(labels == c)
-        chosen = rng.choice(idx.shape[0], size=min_count, replace=False)
-        keep[idx[np.sort(chosen)]] = True
-    return [ex for ex, k in zip(examples, keep) if k]
+# folds
 
 
 def stratified_folds(labels, folds: int = 6, seed: int = 0) -> np.ndarray:
@@ -504,51 +480,3 @@ def synth_udoppler(
             )
     return examples
 
-
-def nearest_centroid_accuracy(examples) -> float:
-    """Accuracy of a nearest-centroid classifier on map payloads.
-
-    Sanity floor for the synthetic generator: the classes must be
-    separable enough that this trivial baseline already does well.
-    """
-    maps = np.stack([ex.payload.values for ex in examples])
-    labels = np.asarray([ex.label for ex in examples])
-    classes = np.unique(labels)
-    centroids = np.stack([maps[labels == c].mean(axis=0) for c in classes])
-    flat = maps.reshape(maps.shape[0], -1)
-    cflat = centroids.reshape(centroids.shape[0], -1)
-    d2 = ((flat[:, None, :] - cflat[None, :, :]) ** 2).sum(axis=2)
-    preds = classes[np.argmin(d2, axis=1)]
-    return float((preds == labels).mean())
-
-
-def sanity_spike_dataset(
-    n_per_class: int = 100,
-    seed: int = 0,
-    t_inf: int = 4,
-    shape: tuple[int, int, int] = (1, 12, 12),
-):
-    """Two-class, linearly separable spike dataset for trainer sanity tests.
-
-    Class 0 fills the left half of the frame with dense spikes at every
-    step, class 1 the right half; the other half carries sparse noise.
-    Dense input at every step keeps membrane drive high enough that the
-    network fires from the first forward pass, so a short schedule is
-    enough to learn the split.
-
-    Returns:
-        (bits, labels) ready for train().
-    """
-    c, h, w = shape
-    rng = np.random.default_rng(seed)
-    n = 2 * n_per_class
-    bits = np.zeros((n, t_inf, c, h, w), dtype=np.uint8)
-    labels = np.repeat(np.arange(2), n_per_class).astype(np.int64)
-    left = np.arange(w)[None, None, :] < w // 2
-    for i in range(n):
-        for k in range(t_inf):
-            dense = rng.random((c, h, w)) < 0.9
-            sparse = rng.random((c, h, w)) < 0.05
-            frame = np.where(left == (labels[i] == 0), dense, sparse)
-            bits[i, k] = frame.astype(np.uint8)
-    return bits, labels

@@ -94,9 +94,3 @@ def wrap_binary(seq: BinaryRdSequence) -> SpikeTensor:
     """
     return SpikeTensor(bits=seq.frames[:, None, :, :])
 
-
-def unwrap_binary(tensor: SpikeTensor) -> BinaryRdSequence:
-    """Inverse of wrap_binary for single-channel tensors."""
-    if tensor.bits.shape[1] != 1:
-        raise InvalidInput("only single-channel spike tensors unwrap to sequences")
-    return BinaryRdSequence(frames=tensor.bits[:, 0, :, :])

@@ -24,7 +24,7 @@ is verified against finite differences.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,64 +42,15 @@ FIRE_MODES = ("compare_then_integrate", "integrate_then_fire")
 WEIGHT_NAMES = ("conv", "fc1", "fc2")
 
 
-@dataclass(frozen=True)
-class IfState:
-    """Membrane potentials of one IF layer (threshold-normalized)."""
-
-    v: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.v, dtype=np.float64)
-        object.__setattr__(self, "v", v)
-        if not np.isfinite(v).all():
-            raise InvalidInput("membrane potentials must be finite")
-        if v.size and v.min() < 0:
-            raise InvalidInput("membrane potentials must be >= 0")
-
-
-@dataclass(frozen=True)
-class LayerSpec:
-    """One stage of the network; IF nonlinearities are implicit after
-    conv2d and dense stages (the accumulator has none)."""
-
-    kind: str
-    out_channels: int | None = None
-    kernel: tuple[int, int] | None = None
-    stride: int = 1
-    padding: int = 0
-    pool: tuple[int, int] | None = None
-    pool_stride: int | None = None
-    in_features: int | None = None
-    out_features: int | None = None
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        if d["kernel"] is not None:
-            d["kernel"] = list(d["kernel"])
-        if d["pool"] is not None:
-            d["pool"] = list(d["pool"])
-        return d
-
-    @staticmethod
-    def from_dict(d: dict) -> "LayerSpec":
-        d = dict(d)
-        if d.get("kernel") is not None:
-            d["kernel"] = tuple(d["kernel"])
-        if d.get("pool") is not None:
-            d["pool"] = tuple(d["pool"])
-        return LayerSpec(**d)
-
-
 @dataclass
 class SnnModel:
-    """Weights plus architecture description.
+    """Weights plus the architecture's sizes.
 
     weights maps "conv" -> (C_out, C_in, kh, kw), "fc1" -> (hidden, flat),
     "fc2" -> (n_classes, hidden), all float64, no biases anywhere.
     quantized, when set, holds the integer deployment view of each tensor.
     """
 
-    layers: list
     weights: dict
     t_inf: int
     input_shape: tuple[int, int, int]
@@ -165,20 +116,6 @@ def expected_weight_shapes(input_shape, n_classes, conv_channels, kernel, hidden
     }
 
 
-def build_layers(input_shape, n_classes, conv_channels, kernel, hidden):
-    shapes = expected_weight_shapes(input_shape, n_classes, conv_channels, kernel, hidden)
-    flat = shapes["fc1"][1]
-    return [
-        LayerSpec("conv2d", out_channels=conv_channels, kernel=kernel,
-                  stride=1, padding=0),
-        LayerSpec("maxpool", pool=(2, 2), pool_stride=2),
-        LayerSpec("flatten"),
-        LayerSpec("dense", in_features=flat, out_features=hidden),
-        LayerSpec("dense", in_features=hidden, out_features=n_classes),
-        LayerSpec("accumulator"),
-    ]
-
-
 def init_model(
     input_shape: tuple[int, int, int] = (1, 48, 100),
     n_classes: int = 5,
@@ -204,7 +141,6 @@ def init_model(
         lim = np.sqrt(6.0 / (fan_in + fan_out))
         weights[name] = rng.uniform(-lim, lim, size=shapes[name])
     return SnnModel(
-        layers=build_layers(input_shape, n_classes, conv_channels, kernel, hidden),
         weights=weights,
         t_inf=t_inf,
         input_shape=tuple(input_shape),
@@ -231,26 +167,12 @@ def _if_update(v: np.ndarray, drive: np.ndarray, fire_mode: str, out=None):
     if fire_mode == "compare_then_integrate":
         spikes = v >= THRESHOLD
         v_next = np.add(v, drive, out=out)
-    elif fire_mode == "integrate_then_fire":
+    else:  # integrate_then_fire; SnnModel rejects any other fire_mode
         v_next = np.add(v, drive, out=out)
         spikes = v_next >= THRESHOLD
-    else:
-        raise InvalidInput(f"unknown fire_mode {fire_mode!r}")
     np.maximum(v_next, 0.0, out=v_next)
     np.copyto(v_next, 0.0, where=spikes)
     return v_next, spikes
-
-
-def if_step(state: IfState, drive: np.ndarray,
-            fire_mode: str = "compare_then_integrate"):
-    """Public single-step IF update: (state, drive) -> (next state, spikes)."""
-    drive = np.asarray(drive, dtype=np.float64)
-    if drive.shape != state.v.shape:
-        raise InvalidInput(
-            f"drive shape {drive.shape} does not match state shape {state.v.shape}"
-        )
-    v_next, spikes = _if_update(state.v, drive, fire_mode)
-    return IfState(v=v_next), spikes.astype(np.uint8)
 
 
 def relaxed_spike(v: np.ndarray) -> np.ndarray:
@@ -300,15 +222,6 @@ def patch_chunks(x: np.ndarray, kh: int, kw: int):
 def dense_drive(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """x (B, in) @ w (out, in)^T -> (B, out)."""
     return np.ascontiguousarray(x, dtype=np.float64) @ w.T
-
-
-def maxpool_spikes(spikes: np.ndarray) -> np.ndarray:
-    """2x2/stride-2 max (logical OR for binary inputs) over the last two dims.
-
-    Odd trailing rows/columns are truncated.
-    """
-    pooled, _ = _maxpool_route(np.asarray(spikes), want_route=False)
-    return pooled
 
 
 def _maxpool_route(x: np.ndarray, want_route: bool = True):
@@ -600,7 +513,6 @@ def save_model(model: SnnModel, path) -> None:
         "conv_channels": model.conv_channels,
         "kernel": list(model.kernel),
         "fire_mode": model.fire_mode,
-        "layers": [spec.to_dict() for spec in model.layers],
         "tensors": list(WEIGHT_NAMES),
         "quantization": None,
         "provenance": model.provenance,
@@ -636,7 +548,7 @@ def _check_manifest(manifest, path) -> None:
     each of the type save_model writes."""
     if not isinstance(manifest, dict) or manifest.get("format") != _MODEL_FORMAT:
         raise InvalidInput(f"{path}: not a model file")
-    required = ("tensors", "layers", "input_shape", "kernel", "fire_mode") + _MANIFEST_INTS
+    required = ("tensors", "input_shape", "kernel", "fire_mode") + _MANIFEST_INTS
     missing = [key for key in required if key not in manifest]
     if missing:
         raise InvalidInput(f"{path}: model manifest lacks {', '.join(missing)}")
@@ -650,9 +562,6 @@ def _check_manifest(manifest, path) -> None:
         if not (isinstance(value, list) and len(value) == rank
                 and all(_is_int(n) for n in value)):
             raise InvalidInput(f"{path}: model field {key!r} must be {rank} integers")
-    layers = manifest["layers"]
-    if not isinstance(layers, list) or not all(isinstance(d, dict) for d in layers):
-        raise InvalidInput(f"{path}: model layers must be a list of objects")
     qmeta = manifest.get("quantization")
     if qmeta:
         scales = qmeta.get("scales") if isinstance(qmeta, dict) else None
@@ -662,7 +571,11 @@ def _check_manifest(manifest, path) -> None:
 
 
 def load_model(path) -> SnnModel:
-    """Read a model file written by save_model."""
+    """Read a model file written by save_model.
+
+    Manifest keys that save_model does not write, such as the "layers" list
+    of files from earlier versions, are ignored.
+    """
     with open(path, "rb") as f:
         line = f.readline(1 << 20)
         if not line.endswith(b"\n"):
@@ -691,12 +604,7 @@ def load_model(path) -> SnnModel:
                 )
         if f.read(1):
             raise InvalidInput(f"{path}: trailing bytes after model payload")
-    try:
-        layers = [LayerSpec.from_dict(d) for d in manifest["layers"]]
-    except TypeError as exc:
-        raise InvalidInput(f"{path}: malformed layer in model manifest: {exc}") from exc
     return SnnModel(
-        layers=layers,
         weights=weights,
         t_inf=manifest["t_inf"],
         input_shape=tuple(manifest["input_shape"]),

@@ -19,7 +19,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -38,6 +38,11 @@ from .snn import (
 
 GAIN_AT_THRESHOLD = 1.0 / np.sqrt(2.0 * np.pi)
 
+# Adam's moment decay rates and denominator offset, the usual defaults
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 def surrogate_gain(x: np.ndarray) -> np.ndarray:
     """Gaussian surrogate derivative: (1/sqrt(2 pi)) exp(-2 x^2).
@@ -45,21 +50,6 @@ def surrogate_gain(x: np.ndarray) -> np.ndarray:
     Even in x, peaks at x = 0 with value 1/sqrt(2 pi) ~= 0.398942.
     """
     return GAIN_AT_THRESHOLD * np.exp(-2.0 * np.square(x))
-
-
-def spike_backward(grad_out: np.ndarray, v_pre: np.ndarray) -> np.ndarray:
-    """Backward of the spike nonlinearity: grad_out * surrogate(v_pre - 1).
-
-    v_pre is the pre-update membrane potential the spike decision read; the
-    gain peaks exactly at the firing threshold.
-    """
-    grad_out = np.asarray(grad_out, dtype=np.float64)
-    v_pre = np.asarray(v_pre, dtype=np.float64)
-    if grad_out.shape != v_pre.shape:
-        raise InvalidInput(
-            f"grad shape {grad_out.shape} does not match v_pre {v_pre.shape}"
-        )
-    return grad_out * surrogate_gain(v_pre - THRESHOLD)
 
 
 def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
@@ -77,6 +67,22 @@ def _surrogate_term(v_pre, g_spikes, out):
     out *= GAIN_AT_THRESHOLD
     out *= g_spikes
     return out
+
+
+def _check_labels(labels, n: int, n_classes: int) -> np.ndarray:
+    """labels as int64; InvalidInput unless they are n integers in
+    [0, n_classes)."""
+    labels = np.asarray(labels)
+    if labels.shape != (n,):
+        raise InvalidInput("labels must be 1-D, one per example")
+    if labels.dtype.kind not in "iu":
+        raise InvalidInput("labels must be integers")
+    labels = labels.astype(np.int64)
+    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
+        raise InvalidInput(
+            f"labels outside [0, {n_classes}): [{labels.min()}, {labels.max()}]"
+        )
+    return labels
 
 
 def _layer_time_backward(g_spikes, v_pre, spikes, relaxed: bool):
@@ -171,17 +177,7 @@ def backprop_through_time(
         (grads, loss, probs) with grads keyed like model.weights.
     """
     bits = np.asarray(bits)
-    labels = np.asarray(labels)
-    if labels.ndim != 1 or labels.shape[0] != bits.shape[0]:
-        raise InvalidInput("labels must be 1-D, one per batch example")
-    if labels.dtype.kind not in "iu":
-        raise InvalidInput("labels must be integers")
-    labels = labels.astype(np.int64)
-    if labels.size and (labels.min() < 0 or labels.max() >= model.n_classes):
-        raise InvalidInput(
-            f"labels outside [0, {model.n_classes}): "
-            f"[{labels.min()}, {labels.max()}]"
-        )
+    labels = _check_labels(labels, bits.shape[0], model.n_classes)
     if weights is None:
         weights = resolve_weights(model, use_quantized_forward)
     out = forward_batch(model, bits, mode=mode, want_tape=True, weights=weights)
@@ -251,9 +247,9 @@ def adam_step(
     grads: dict,
     state: AdamState,
     lr: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
+    beta1: float = ADAM_BETA1,
+    beta2: float = ADAM_BETA2,
+    eps: float = ADAM_EPS,
 ):
     """Standard bias-corrected Adam update, in place on weights and state."""
     for name, g in grads.items():
@@ -299,9 +295,6 @@ class TrainConfig:
     folds: int = 6
     seed: int = 0
     bits: int = 4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
         if not self.lr > 0.0:
@@ -316,12 +309,7 @@ class TrainConfig:
             raise InvalidInput(f"bits must be in [2, 8], got {self.bits}")
 
     def to_dict(self) -> dict:
-        return {
-            "lr": self.lr, "batch": self.batch,
-            "epochs_full": self.epochs_full, "epochs_qat": self.epochs_qat,
-            "folds": self.folds, "seed": self.seed, "bits": self.bits,
-            "beta1": self.beta1, "beta2": self.beta2, "eps": self.eps,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -442,8 +430,7 @@ def _train_fold(job: _FoldJob, fold: int):
             grads, loss, _ = backprop_through_time(
                 m, bits[batch_idx], labels[batch_idx]
             )
-            adam_step(m.weights, grads, adam, lr=cfg.lr,
-                      beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
+            adam_step(m.weights, grads, adam, lr=cfg.lr)
             loss_sum += loss * len(batch_idx)
         curve.append(loss_sum / len(train_idx))
 
@@ -458,8 +445,7 @@ def _train_fold(job: _FoldJob, fold: int):
                 m, bits[batch_idx], labels[batch_idx],
                 use_quantized_forward=True,
             )
-            adam_step(m.weights, grads, adam, lr=cfg.lr,
-                      beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
+            adam_step(m.weights, grads, adam, lr=cfg.lr)
             loss_sum += loss * len(batch_idx)
         curve.append(loss_sum / len(train_idx))
 
@@ -585,18 +571,9 @@ def train(model: SnnModel, dataset, cfg: TrainConfig):
     """
     bits, labels = dataset
     bits = np.asarray(bits)
-    labels = np.asarray(labels)
     if bits.ndim != 5 or bits.shape[0] == 0:
         raise InvalidInput("dataset must be non-empty (N, T, C, H, W) spikes")
-    if labels.shape != (bits.shape[0],):
-        raise InvalidInput("labels must be 1-D, one per example")
-    if labels.dtype.kind not in "iu":
-        raise InvalidInput("labels must be integers")
-    labels = labels.astype(np.int64)
-    if labels.min() < 0 or labels.max() >= model.n_classes:
-        raise InvalidInput(
-            f"labels outside [0, {model.n_classes}) for this model"
-        )
+    labels = _check_labels(labels, bits.shape[0], model.n_classes)
 
     # Every class holds at least cfg.folds examples, dealt round-robin, or
     # this raises StratificationError; so every training split holds every

@@ -92,8 +92,8 @@ def test_check_03a_synthetic_training_protocol():
     mean = report.mean_accuracy
     ok = mean >= 0.90 and wall <= 600.0
     banner("3a", ok, f"synthetic 5-class, 6-fold, 14+1 epochs: mean fold "
-           f"accuracy {mean:.4f} (need >= 0.90) in {wall:.0f} s on one core "
-           f"(budget 600 s)")
+           f"accuracy {mean:.4f} (need >= 0.90) in {wall:.0f} s on "
+           f"{len(os.sched_getaffinity(0))} CPUs (budget 600 s)")
 
 
 def test_check_03b_external_dataset():

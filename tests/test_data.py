@@ -1,4 +1,4 @@
-"""Dataset export/ingest, balancing, folds, and synthetic generation."""
+"""Dataset export/ingest, folds, and synthetic generation."""
 
 import json
 import os
@@ -6,16 +6,14 @@ import os
 import numpy as np
 import pytest
 
+from sanity_data import nearest_centroid_accuracy, sanity_spike_dataset
 from spikeradar.data import (
     LabeledExample,
-    balance_dataset,
     dataset_info,
     encode_examples,
     export_dataset,
     ingest_external,
-    nearest_centroid_accuracy,
     read_manifest,
-    sanity_spike_dataset,
     stratified_folds,
     synth_class_names,
     synth_udoppler,
@@ -189,35 +187,6 @@ def test_dataset_info_counts(tmp_path):
     assert info.class_names == ["wave", "push"]
     assert info.per_class_counts() == {0: 3, 1: 2}
     assert info.balanced is False
-
-
-# ── balancing ───────────────────────────────────────────────────────────────
-
-
-def test_balance_keeps_balanced_dataset_whole():
-    rng = np.random.default_rng(7)
-    examples = [map_example(rng, label=l) for l in (0, 1, 0, 1)]
-    assert balance_dataset(examples) == examples
-
-
-def test_balance_subsamples_to_minimum():
-    rng = np.random.default_rng(8)
-    examples = [map_example(rng, label=0, aid=f"a{i}") for i in range(12)]
-    examples += [map_example(rng, label=1, aid=f"b{i}") for i in range(10)]
-    out = balance_dataset(examples, seed=3)
-    labels = [ex.label for ex in out]
-    assert labels.count(0) == 10 and labels.count(1) == 10
-    # original order survives the subsampling
-    kept_ids = [ex.acquisition_id for ex in out if ex.label == 0]
-    assert kept_ids == sorted(kept_ids, key=lambda s: int(s[1:]))
-    ids = lambda exs: [ex.acquisition_id for ex in exs]
-    assert ids(balance_dataset(examples, seed=3)) == ids(out)
-    assert ids(balance_dataset(examples, seed=4)) != ids(out)
-
-
-def test_balance_rejects_empty():
-    with pytest.raises(InvalidInput):
-        balance_dataset([])
 
 
 # ── stratified folds ────────────────────────────────────────────────────────

@@ -7,7 +7,6 @@ from spikeradar.encoding import (
     SpikeTensor,
     ttfs_encode,
     ttfs_step,
-    unwrap_binary,
     wrap_binary,
 )
 from spikeradar.errors import InvalidInput
@@ -105,14 +104,8 @@ def test_wrap_and_unwrap_binary_roundtrip():
     assert isinstance(tensor, SpikeTensor)
     assert tensor.bits.shape == (28, 1, 6, 5)
     assert tensor.t_inf == 28
-    back = unwrap_binary(tensor)
-    assert np.array_equal(back.frames, frames)
-
-
-def test_unwrap_rejects_multichannel():
-    bits = np.zeros((4, 2, 3, 3), dtype=np.uint8)
-    with pytest.raises(InvalidInput):
-        unwrap_binary(SpikeTensor(bits=bits))
+    # the single channel holds the sequence's frames unchanged
+    assert np.array_equal(tensor.bits[:, 0], frames)
 
 
 def test_spike_tensor_validation_and_counts():

@@ -15,12 +15,11 @@ from spikeradar.energy import (
     spike_counts_for_batch,
 )
 from spikeradar.errors import InvalidInput
-from spikeradar.snn import SnnModel, build_layers
+from spikeradar.snn import SnnModel
 
 
 def tiny_model(weights, meta, t_inf, shape=(1, 8, 8), n_classes=3, hidden=7):
     return SnnModel(
-        layers=build_layers(shape, n_classes, meta["c1"], meta["kernel"], hidden),
         weights=weights,
         t_inf=t_inf,
         input_shape=shape,

@@ -11,25 +11,24 @@ from spikeradar.encoding import SpikeTensor
 from spikeradar.errors import InvalidInput, MissingQuantizedWeights
 from spikeradar.quant import quantize
 from spikeradar.snn import (
-    IfState,
     SnnModel,
-    build_layers,
+    _if_update,
+    _maxpool_route,
     forward,
     forward_batch,
-    if_step,
     init_model,
     load_model,
-    maxpool_spikes,
     relaxed_spike,
     save_model,
     softmax,
 )
 
+CTI = "compare_then_integrate"
+
 
 def tiny_model(weights, meta, t_inf, shape, n_classes, hidden,
                fire_mode="compare_then_integrate"):
     return SnnModel(
-        layers=build_layers(shape, n_classes, meta["c1"], meta["kernel"], hidden),
         weights=weights,
         t_inf=t_inf,
         input_shape=shape,
@@ -46,43 +45,34 @@ def tiny_model(weights, meta, t_inf, shape, n_classes, hidden,
 
 def test_if_step_branch_semantics():
     # sub-threshold accumulation
-    state = IfState(v=np.array([0.5]))
-    state, s = if_step(state, np.array([0.3]))
-    assert s[0] == 0 and state.v[0] == pytest.approx(0.8)
+    v, s = _if_update(np.array([0.5]), np.array([0.3]), CTI)
+    assert not s[0] and v[0] == pytest.approx(0.8)
     # above threshold: spike, reset, and the incoming drive is discarded
-    state = IfState(v=np.array([1.2]))
-    state, s = if_step(state, np.array([99.0]))
-    assert s[0] == 1 and state.v[0] == 0.0
+    v, s = _if_update(np.array([1.2]), np.array([99.0]), CTI)
+    assert s[0] and v[0] == 0.0
     # negative drive clamps at zero
-    state = IfState(v=np.array([0.1]))
-    state, s = if_step(state, np.array([-5.0]))
-    assert s[0] == 0 and state.v[0] == 0.0
+    v, s = _if_update(np.array([0.1]), np.array([-5.0]), CTI)
+    assert not s[0] and v[0] == 0.0
 
 
 def test_if_constant_drive_trace():
     # J = 0.4 from rest: potential walks 0.4, 0.8, 1.2, then the spike is
     # emitted on the NEXT step (decision reads the pre-update potential)
-    state = IfState(v=np.zeros(1))
+    v = np.zeros(1)
     trace = []
     spikes = []
     for _ in range(6):
-        state, s = if_step(state, np.array([0.4]))
-        trace.append(round(float(state.v[0]), 10))
+        v, s = _if_update(v, np.array([0.4]), CTI)
+        trace.append(round(float(v[0]), 10))
         spikes.append(int(s[0]))
     assert spikes == [0, 0, 0, 1, 0, 0]
     assert trace == [0.4, 0.8, 1.2, 0.0, 0.4, 0.8]
 
 
 def test_if_step_integrate_then_fire_variant():
-    state = IfState(v=np.array([0.7]))
-    state, s = if_step(state, np.array([0.4]), fire_mode="integrate_then_fire")
+    v, s = _if_update(np.array([0.7]), np.array([0.4]), "integrate_then_fire")
     # 0.7 + 0.4 crosses threshold within the same step here
-    assert s[0] == 1 and state.v[0] == 0.0
-
-
-def test_if_step_shape_mismatch():
-    with pytest.raises(InvalidInput):
-        if_step(IfState(v=np.zeros(3)), np.zeros(4))
+    assert s[0] and v[0] == 0.0
 
 
 def test_relaxed_spike_anchors():
@@ -97,24 +87,24 @@ def test_relaxed_spike_anchors():
 
 def test_maxpool_or_and_window_membership():
     bits = np.zeros((1, 1, 4, 4), dtype=np.uint8)
-    out = maxpool_spikes(bits)
+    out = _maxpool_route(bits, want_route=False)[0]
     assert out.shape == (1, 1, 2, 2)
     assert out.sum() == 0
 
     bits[0, 0, 0, 1] = 1
-    out = maxpool_spikes(bits)
+    out = _maxpool_route(bits, want_route=False)[0]
     assert out[0, 0, 0, 0] == 1
     assert out.sum() == 1
 
     ones = np.ones((1, 1, 4, 4), dtype=np.uint8)
-    assert np.all(maxpool_spikes(ones) == 1)
+    assert np.all(_maxpool_route(ones, want_route=False)[0] == 1)
 
 
 def test_maxpool_matches_bruteforce_windows():
     rng = np.random.default_rng(60)
     for _ in range(15):
         bits = (rng.random((2, 3, 6, 6)) < 0.3).astype(np.uint8)
-        out = maxpool_spikes(bits)
+        out = _maxpool_route(bits, want_route=False)[0]
         for b in range(2):
             for c in range(3):
                 for y in range(3):
@@ -125,7 +115,7 @@ def test_maxpool_matches_bruteforce_windows():
 
 def test_maxpool_truncates_odd_edges():
     bits = np.ones((1, 1, 5, 7), dtype=np.uint8)
-    out = maxpool_spikes(bits)
+    out = _maxpool_route(bits, want_route=False)[0]
     assert out.shape == (1, 1, 2, 3)
 
 
@@ -357,8 +347,6 @@ def test_load_rejects_malformed_manifest(tmp_path):
         dict(manifest, tensors=["conv", "fc1"]),
         dict(manifest, hidden="16"),
         dict(manifest, kernel=[3]),
-        dict(manifest, layers=[dict(manifest["layers"][0], colour="red")]),
-        dict(manifest, layers=[{"kind": "conv2d", "kernel": 5}]),
         dict(manifest, quantization={"bits": 4}),
         [1, 2],
     ]
@@ -369,3 +357,52 @@ def test_load_rejects_malformed_manifest(tmp_path):
         with pytest.raises(InvalidInput):
             load_model(path)
 
+
+
+def test_load_ignores_keys_of_earlier_files(tmp_path):
+    """Files from earlier versions also carry the architecture as a layer
+    list and Adam's constants in the training config; both are ignored."""
+    rng = np.random.default_rng(68)
+    m = init_model(input_shape=(1, 12, 12), n_classes=3, t_inf=4, seed=4)
+    m.quantized = {k: quantize(v, bits=4) for k, v in m.weights.items()}
+    m.provenance = {
+        "trained_on": "fold-cv", "fold": 0, "n_examples": 60,
+        "config": {"lr": 1e-3, "batch": 16, "epochs_full": 2, "epochs_qat": 1,
+                   "folds": 2, "seed": 9, "bits": 4},
+    }
+    path = os.path.join(tmp_path, "model.bin")
+    save_model(m, path)
+    with open(path, "rb") as f:
+        manifest = json.loads(f.readline())
+        payload = f.read()
+    assert "layers" not in manifest
+
+    none = dict(out_channels=None, kernel=None, stride=1, padding=0, pool=None,
+                pool_stride=None, in_features=None, out_features=None)
+    old = dict(manifest, layers=[
+        dict(none, kind="conv2d", out_channels=12, kernel=[5, 5]),
+        dict(none, kind="maxpool", pool=[2, 2], pool_stride=2),
+        dict(none, kind="flatten"),
+        dict(none, kind="dense", in_features=192, out_features=128),
+        dict(none, kind="dense", in_features=128, out_features=3),
+        dict(none, kind="accumulator"),
+    ])
+    old["provenance"] = dict(manifest["provenance"])
+    old["provenance"]["config"] = dict(manifest["provenance"]["config"],
+                                       beta1=0.9, beta2=0.999, eps=1e-8)
+    old_path = os.path.join(tmp_path, "old.bin")
+    with open(old_path, "wb") as f:
+        f.write(json.dumps(old, sort_keys=True).encode() + b"\n" + payload)
+
+    new, back = load_model(path), load_model(old_path)
+    bits = (rng.random((5, 4, 1, 12, 12)) < 0.4).astype(np.uint8)
+    for use_quantized in (False, True):
+        a = forward_batch(new, bits, use_quantized=use_quantized)
+        b = forward_batch(back, bits, use_quantized=use_quantized)
+        assert np.array_equal(a.probs, b.probs)
+        assert np.array_equal(a.accumulator, b.accumulator)
+        for name in a.spike_counts:
+            assert np.array_equal(a.spike_counts[name], b.spike_counts[name])
+    for k in m.weights:
+        assert np.array_equal(back.weights[k], m.weights[k]), k
+        assert np.array_equal(back.quantized[k].codes, m.quantized[k].codes), k

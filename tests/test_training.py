@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from dense_reference import dense_bptt
+from sanity_data import sanity_spike_dataset
 from scalar_reference import random_tiny_model, scalar_adam_update
 from spikeradar import training
-from spikeradar.data import sanity_spike_dataset
 from spikeradar.errors import InvalidInput, NonFiniteGradient, StratificationError
-from spikeradar.snn import SnnModel, build_layers, forward_batch, init_model, save_model
+from spikeradar.snn import SnnModel, forward_batch, init_model, save_model
 from spikeradar.training import (
     GAIN_AT_THRESHOLD,
     AdamState,
@@ -20,7 +20,6 @@ from spikeradar.training import (
     backprop_through_time,
     cross_entropy,
     evaluate,
-    spike_backward,
     surrogate_gain,
     train,
 )
@@ -29,7 +28,6 @@ from spikeradar.training import (
 def tiny_model(weights, meta, t_inf, shape=(1, 8, 8), n_classes=3, hidden=7,
                fire_mode="compare_then_integrate"):
     return SnnModel(
-        layers=build_layers(shape, n_classes, meta["c1"], meta["kernel"], hidden),
         weights=weights,
         t_inf=t_inf,
         input_shape=shape,
@@ -59,14 +57,15 @@ def test_surrogate_evenness_and_decay():
 
 
 def test_spike_backward_scales_by_gain():
-    v_pre = np.array([1.0, 0.0, 2.0])
-    grad = np.array([1.0, 1.0, 1.0])
-    out = spike_backward(grad, v_pre)
+    # the backward pass's fused term: grad * surrogate(v_pre - 1)
+    v_pre = np.array([1.0, 0.0, 2.0, 1.5])
+    grad = np.array([1.0, 1.0, 1.0, -3.0])
+    out = training._surrogate_term(v_pre, grad, np.empty(4))
     assert out[0] == pytest.approx(1.0 / np.sqrt(2.0 * np.pi))
     assert out[1] == pytest.approx(np.exp(-2.0) / np.sqrt(2.0 * np.pi))
     assert out[1] == pytest.approx(out[2])
-    with pytest.raises(InvalidInput):
-        spike_backward(np.ones(2), np.ones(3))
+    assert out[3] == pytest.approx(-3.0 * surrogate_gain(0.5))
+    assert np.array_equal(out, grad * surrogate_gain(v_pre - 1.0))
 
 
 # ── loss ────────────────────────────────────────────────────────────────────
@@ -225,13 +224,21 @@ def test_label_validation():
     rng = np.random.default_rng(73)
     weights, bits, meta = random_tiny_model(rng, t_inf=2)
     model = tiny_model(weights, meta, 2)
-    batch = bits[None]
-    with pytest.raises(InvalidInput):
-        backprop_through_time(model, batch, np.array([0.5]))
-    with pytest.raises(InvalidInput):
-        backprop_through_time(model, batch, np.array([3], dtype=np.int64))
-    with pytest.raises(InvalidInput):
-        backprop_through_time(model, batch, np.array([[0]], dtype=np.int64))
+    batch = bits[None].repeat(6, axis=0)
+    good = np.arange(6, dtype=np.int64) % 3
+    bad_labels = [
+        good.astype(np.float64),  # floats, even integer-valued ones
+        np.where(good == 2, 3, good),  # class 3 of a 3-class model
+        np.where(good == 0, -1, good),
+        good[:, None],  # 2-D
+        good[:5],  # one short
+    ]
+    cfg = TrainConfig(epochs_full=1, epochs_qat=0, folds=2, seed=0)
+    for labels in bad_labels:
+        with pytest.raises(InvalidInput):
+            backprop_through_time(model, batch, labels)
+        with pytest.raises(InvalidInput, match="labels"):
+            train(model, (batch, labels), cfg)
 
 
 # ── Adam ────────────────────────────────────────────────────────────────────
