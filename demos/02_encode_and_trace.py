@@ -36,7 +36,7 @@ def main():
 
     print("\nforward pass, untrained weights (seed 0):")
     model = init_model(input_shape=(1, 48, 100), n_classes=5, t_inf=T_INF, seed=0)
-    probs, trace = forward(model, tensors[0], per_step=True)
+    probs, trace = forward(model, tensors[0])
     print("  per-step spike counts (rows: step, cols: input sigma1 sigma2 sigma3)")
     for k, row in enumerate(trace.per_step_spikes):
         print(f"    step {k + 1}: {row[0]:5d} {row[1]:5d} {row[2]:5d} {row[3]:5d}")

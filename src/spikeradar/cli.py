@@ -262,7 +262,7 @@ def _cmd_infer(args):
                     "probabilities": probs.tolist(),
                     "accumulator": trace.accumulator.tolist(),
                     "spike_counts": trace.spike_counts,
-                    "total_spikes": trace.total_spikes,
+                    "total_spikes": sum(trace.spike_counts.values()),
                     "quantized": bool(args.quantized),
                 },
                 f, sort_keys=True, indent=1,

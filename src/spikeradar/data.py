@@ -180,7 +180,10 @@ def read_manifest(dataset_dir) -> DatasetManifest:
     for e in entries:
         if not isinstance(e, dict) or "file" not in e or "label" not in e:
             raise CorruptDataset(f"malformed example entry in {path}: {e!r}")
-        if not (0 <= int(e["label"]) < len(classes)):
+        for key in ("label", "segment_index"):  # JSON integers, not bools
+            if type(e.get(key, 0)) is not int:
+                raise CorruptDataset(f"{key} {e[key]!r} in {path} is not an integer")
+        if not (0 <= e["label"] < len(classes)):
             raise CorruptDataset(
                 f"label {e['label']} outside class list of length {len(classes)}"
             )
@@ -256,9 +259,9 @@ def ingest_external(dataset_dir, t_inf: int | None = None):
         examples.append(
             LabeledExample(
                 payload=payload,
-                label=int(entry["label"]),
+                label=entry["label"],
                 acquisition_id=entry.get("acquisition_id", entry["file"]),
-                segment_index=int(entry.get("segment_index", 0)),
+                segment_index=entry.get("segment_index", 0),
             )
         )
     return examples, manifest

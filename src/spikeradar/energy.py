@@ -84,32 +84,6 @@ class EnergyReport:
         )
 
 
-def spike_counts_for_batch(
-    model: SnnModel,
-    bits: np.ndarray,
-    use_quantized: bool = True,
-    include_input_spikes: bool = True,
-    batch: int = 128,
-) -> np.ndarray:
-    """Per-example total spike counts over a stacked (N, T, C, H, W) batch.
-
-    Counts are the ForwardTrace totals: input spikes (toggleable) plus all
-    three IF layers' output spikes. Pooling passes spikes through and emits
-    nothing of its own.
-    """
-    n = bits.shape[0]
-    totals = np.empty(n, dtype=np.int64)
-    for start in range(0, n, batch):
-        out = forward_batch(model, bits[start : start + batch],
-                            use_quantized=use_quantized)
-        c = out.spike_counts
-        t = c["sigma1"] + c["sigma2"] + c["sigma3"]
-        if include_input_spikes:
-            t = t + c["input"]
-        totals[start : start + batch] = t
-    return totals
-
-
 def report_for_dataset(
     model: SnnModel,
     tensors,
@@ -121,7 +95,9 @@ def report_for_dataset(
 
     Runs the quantized forward on every tensor, aggregates the max and mean
     spike count (max as the upper-bound operating point), and converts both
-    through energy_per_classification.
+    through energy_per_classification. An example's count is its spikes of
+    all three IF layers, plus its input spikes when include_input_spikes;
+    pooling passes spikes through and emits nothing of its own.
     """
     if isinstance(tensors, np.ndarray):
         bits = tensors
@@ -132,10 +108,10 @@ def report_for_dataset(
         bits = np.stack([t.bits for t in tensors])
     if bits.ndim != 5 or bits.shape[0] == 0:
         raise InvalidInput("expected a non-empty (N, T, C, H, W) spike batch")
-    totals = spike_counts_for_batch(
-        model, bits, use_quantized=use_quantized,
-        include_input_spikes=include_input_spikes,
-    )
+    counts = forward_batch(model, bits, use_quantized=use_quantized).spike_counts
+    totals = counts["sigma1"] + counts["sigma2"] + counts["sigma3"]
+    if include_input_spikes:
+        totals += counts["input"]
     n_max = int(totals.max())
     n_mean = float(totals.mean())
     return EnergyReport(

@@ -7,7 +7,9 @@ code of two's complement is never used, keeping the grid symmetric around 0).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,6 +39,26 @@ class QuantizedTensor:
             )
         if not (np.isfinite(self.scale) and self.scale > 0):
             raise InvalidInput("scale must be positive and finite")
+
+    @cached_property
+    def code_units(self) -> np.ndarray:
+        """The codes as read-only float64: the tensor in units of its scale."""
+        units = self.codes.astype(np.float64)
+        units.flags.writeable = False
+        return units
+
+    @property
+    def threshold(self) -> float:
+        """ceil(1/scale), exact: m units reach 1 exactly when m >= it. No
+        membrane in code units nears 2^53, so larger values are held there."""
+        from fractions import Fraction  # here: only quantized inference needs it
+
+        return float(min(math.ceil(1 / Fraction(self.scale)), 2 ** 53))
+
+    def __getstate__(self):
+        # pickles, such as the fold models training's workers send back,
+        # leave out the float64 cache; a copy rebuilds it when read
+        return {k: v for k, v in self.__dict__.items() if k != "code_units"}
 
 
 def _round_half_away(x: np.ndarray) -> np.ndarray:

@@ -10,9 +10,12 @@ Neuron semantics are the literal compare-then-integrate state machine:
     if V_k <  1:  V_{k+1} = max(0, V_k + J_k),  S_k = 0
     if V_k >= 1:  V_{k+1} = 0 (input discarded), S_k = 1
 
-so a neuron spikes the step AFTER its potential crossed threshold. The
-common integrate-then-fire variant is available behind the fire_mode flag
-for ablation only.
+so a neuron spikes the step AFTER its potential crossed threshold.
+
+The quantized view runs in integer code units: each layer's weights are its
+int8 codes, so every drive and membrane is a whole number of the layer's
+scale, and layer l fires at the integer threshold theta_l = ceil(1/scale_l),
+the smallest whole number of scale units that reaches 1.
 
 The engine also has a "relaxed" mode where the hard spike is replaced by
 the smooth map (1/4) erf(sqrt(2) (V - 1)) + 1/4 and reset/clamp are
@@ -31,11 +34,9 @@ import numpy as np
 from .container import read_tensor_from, write_tensor_to
 from .encoding import SpikeTensor
 from .errors import InvalidInput, MissingQuantizedWeights
-from .quant import QuantizedTensor, dequantize
+from .quant import QuantizedTensor
 
 THRESHOLD = 1.0
-
-FIRE_MODES = ("compare_then_integrate", "integrate_then_fire")
 
 # Weight tensor names in model order. sigma1..sigma3 are the IF layers after
 # conv, fc1, and fc2 respectively.
@@ -58,13 +59,10 @@ class SnnModel:
     hidden: int
     conv_channels: int
     kernel: tuple[int, int]
-    fire_mode: str = "compare_then_integrate"
     quantized: dict | None = None
     provenance: dict | None = None
 
     def __post_init__(self):
-        if self.fire_mode not in FIRE_MODES:
-            raise InvalidInput(f"unknown fire_mode {self.fire_mode!r}")
         if self.t_inf < 1:
             raise InvalidInput("t_inf must be >= 1")
         shapes = expected_weight_shapes(
@@ -80,24 +78,14 @@ class SnnModel:
                     f"weight {name!r} has shape {got}, expected {shapes[name]}"
                 )
 
-    @property
-    def quantized_bits(self) -> int | None:
-        if not self.quantized:
-            return None
-        return next(iter(self.quantized.values())).bits
-
     def shape_after_conv(self) -> tuple[int, int, int]:
         _, h, w = self.input_shape
         kh, kw = self.kernel
         return (self.conv_channels, h - kh + 1, w - kw + 1)
 
-    def shape_after_pool(self) -> tuple[int, int, int]:
-        c, h, w = self.shape_after_conv()
-        return (c, h // 2, w // 2)
-
     def flat_features(self) -> int:
-        c, h, w = self.shape_after_pool()
-        return c * h * w
+        c, h, w = self.shape_after_conv()
+        return c * (h // 2) * (w // 2)
 
 
 def expected_weight_shapes(input_shape, n_classes, conv_channels, kernel, hidden):
@@ -124,7 +112,6 @@ def init_model(
     hidden: int = 128,
     conv_channels: int = 12,
     kernel: tuple[int, int] = (5, 5),
-    fire_mode: str = "compare_then_integrate",
 ) -> SnnModel:
     """Fresh model with Glorot-uniform weights, +-sqrt(6/(fan_in+fan_out))."""
     shapes = expected_weight_shapes(input_shape, n_classes, conv_channels, kernel, hidden)
@@ -148,7 +135,6 @@ def init_model(
         hidden=hidden,
         conv_channels=conv_channels,
         kernel=tuple(kernel),
-        fire_mode=fire_mode,
     )
 
 
@@ -156,20 +142,17 @@ def init_model(
 # neuron update
 
 
-def _if_update(v: np.ndarray, drive: np.ndarray, fire_mode: str, out=None):
+def _if_update(v: np.ndarray, drive: np.ndarray, threshold: float, out=None):
     """One IF step. Returns (v_next, spikes) with spikes as a bool array.
 
-    The spike decision reads the PRE-update potential; on a spiking step the
-    incoming drive is discarded entirely. Negative potentials (possible with
-    negative weights) are clamped to 0 after the update. v_next is written
-    into out when given, which must not share memory with v.
+    The spike decision reads the PRE-update potential against threshold;
+    on a spiking step the incoming drive is discarded entirely. Negative
+    potentials (possible with negative weights) are clamped to 0 after the
+    update. v_next is written into out when given, which must not share
+    memory with v.
     """
-    if fire_mode == "compare_then_integrate":
-        spikes = v >= THRESHOLD
-        v_next = np.add(v, drive, out=out)
-    else:  # integrate_then_fire; SnnModel rejects any other fire_mode
-        v_next = np.add(v, drive, out=out)
-        spikes = v_next >= THRESHOLD
+    spikes = v >= threshold
+    v_next = np.add(v, drive, out=out)
     np.maximum(v_next, 0.0, out=v_next)
     np.copyto(v_next, 0.0, where=spikes)
     return v_next, spikes
@@ -259,23 +242,6 @@ def softmax(a: np.ndarray) -> np.ndarray:
 # forward pass
 
 
-@dataclass(frozen=True)
-class ForwardTrace:
-    """Per-inference record: accumulator and spike counts.
-
-    spike_counts has keys "input", "sigma1", "sigma2", "sigma3"; pooling
-    passes spikes through and is not counted separately.
-    """
-
-    accumulator: np.ndarray
-    spike_counts: dict
-    per_step_spikes: np.ndarray | None = None
-
-    @property
-    def total_spikes(self) -> int:
-        return int(sum(self.spike_counts.values()))
-
-
 @dataclass
 class Tape:
     """Per-step forward state retained for backpropagation through time.
@@ -289,7 +255,6 @@ class Tape:
     both (T, B, C, OH//2, OW//2).
     """
 
-    bits: np.ndarray
     s1: np.ndarray
     cells: np.ndarray
     v1_routed: np.ndarray
@@ -302,7 +267,12 @@ class Tape:
 
 @dataclass
 class BatchForward:
-    """Result of a batched forward pass."""
+    """Result of a forward pass, one row per example (forward drops the row).
+
+    spike_counts maps "input", "sigma1", "sigma2", "sigma3" to each
+    example's count; pooling passes spikes through and is not counted.
+    per_step_spikes (T, 4) sums the four counts over the batch per step.
+    """
 
     probs: np.ndarray
     accumulator: np.ndarray
@@ -311,15 +281,27 @@ class BatchForward:
     tape: Tape | None = None
 
 
-def resolve_weights(model: SnnModel, use_quantized: bool) -> dict:
-    """Weights the forward pass should use: master or dequantized view."""
+# Examples per pass when forward_batch keeps no tape, which bounds the state
+# it holds for any batch size (about 1.2 MB per example at 48x100).
+INFER_CHUNK = 128
+
+_COUNT_NAMES = ("input", "sigma1", "sigma2", "sigma3")
+
+
+def resolve_weights(model: SnnModel, use_quantized: bool):
+    """(weights, per-layer thresholds) of a forward pass: the master weights
+    at THRESHOLD, or the quantized view in code units at each layer's
+    integer threshold. Float64 sums of integers below 2^53 are exact in any
+    order, so that view decides every spike exactly."""
     if not use_quantized:
-        return model.weights
+        return model.weights, (THRESHOLD,) * len(WEIGHT_NAMES)
     if not model.quantized:
         raise MissingQuantizedWeights(
             "model has no quantized view; quantize it or drop use_quantized"
         )
-    return {name: dequantize(model.quantized[name]) for name in WEIGHT_NAMES}
+    views = [model.quantized[name] for name in WEIGHT_NAMES]
+    return ({name: q.code_units for name, q in zip(WEIGHT_NAMES, views)},
+            tuple(q.threshold for q in views))
 
 
 def forward_batch(
@@ -334,16 +316,17 @@ def forward_batch(
 
     Args:
         bits: (B, T, C, H, W) binary input, T = model.t_inf.
-        use_quantized: forward on the dequantized integer view.
+        use_quantized: forward on the quantized view, in code units.
         mode: "hard" (production spiking dynamics) or "relaxed" (smooth
-            spike, no reset/clamp; for gradient verification).
+            spike, no reset/clamp; float weights only; for gradient checks).
         want_tape: retain per-step state for the backward pass.
-        weights: override the resolved weights (the trainer passes the
-            current view explicitly).
+        weights: float weights to run instead of the model's, firing at
+            THRESHOLD (the trainer passes its current view explicitly).
 
     Returns:
         BatchForward; probs has shape (B, n_classes). IF states start at 0
-        for every call and are never carried across inputs.
+        for every call and are never carried across inputs. Without a tape
+        the batch runs INFER_CHUNK examples at a time.
     """
     bits = np.asarray(bits)
     if bits.ndim != 5:
@@ -360,15 +343,38 @@ def forward_batch(
         )
     if mode not in ("hard", "relaxed"):
         raise InvalidInput(f"unknown forward mode {mode!r}")
+    if mode == "relaxed" and use_quantized:
+        raise InvalidInput("the quantized view runs in hard mode only")
+    thresholds = (THRESHOLD,) * len(WEIGHT_NAMES)
     if weights is None:
-        weights = resolve_weights(model, use_quantized)
-    w_conv, w_fc1, w_fc2 = (weights[n] for n in WEIGHT_NAMES)
+        weights, thresholds = resolve_weights(model, use_quantized)
 
+    acc = np.zeros((b, model.n_classes))
+    counts = np.zeros((len(_COUNT_NAMES), b), dtype=np.int64)
+    per_step = np.zeros((model.t_inf, len(_COUNT_NAMES)), dtype=np.int64)
+    chunk = max(b, 1) if want_tape else INFER_CHUNK
+    tape = None
+    for i in range(0, b, chunk):
+        tape = _forward_chunk(
+            model, bits[i : i + chunk], weights, thresholds, mode == "hard",
+            want_tape, acc[i : i + chunk], counts[:, i : i + chunk], per_step,
+        )
+    return BatchForward(probs=softmax(acc), accumulator=acc,
+                        spike_counts=dict(zip(_COUNT_NAMES, counts)),
+                        per_step_spikes=per_step, tape=tape)
+
+
+def _forward_chunk(model, bits, weights, thresholds, hard, want_tape,
+                   acc, counts, per_step):
+    """Run bits (B, T, C, H, W) through the network, adding into acc
+    (B, n_classes), counts (4, B) and per_step (T, 4) as forward_batch
+    reports them. Returns the Tape when want_tape, else None."""
+    w_conv, w_fc1, w_fc2 = (weights[n] for n in WEIGHT_NAMES)
+    b = bits.shape[0]
     c1, oh, ow = model.shape_after_conv()
     ph, pw = oh // 2, ow // 2
     flat_n = model.flat_features()
     t = model.t_inf
-    hard = mode == "hard"
     spike_dtype = np.uint8 if hard else np.float64
 
     # Each layer's membrane alternates between two buffers: a step reads one
@@ -376,20 +382,17 @@ def forward_batch(
     v1, v1_spare = np.zeros((b, c1, oh, ow)), np.empty((b, c1, oh, ow))
     v2, v2_spare = np.zeros((b, model.hidden)), np.empty((b, model.hidden))
     v3, v3_spare = np.zeros((b, model.n_classes)), np.empty((b, model.n_classes))
-    acc = np.zeros((b, model.n_classes))
 
-    def fire(v, drive, out):
+    def fire(v, drive, out, layer):
         """(v_next, spikes) of one IF layer, v_next written into out."""
         if hard:
-            v_next, s = _if_update(v, drive, model.fire_mode, out=out)
+            v_next, s = _if_update(v, drive, thresholds[layer], out=out)
             return v_next, s.view(np.uint8)
         return np.add(v, drive, out=out), relaxed_spike(v)
 
     # A step's drives only feed the next step's potentials, so the last
-    # step's drives feed V_T, which nothing reads, unless the layers
-    # integrate before they fire. Skipped steps leave each drive holding the
-    # previous step's; the conv drive depends on the input alone.
-    drive_steps = t if hard and model.fire_mode == "integrate_then_fire" else t - 1
+    # step's drives feed V_T, which nothing reads, and are skipped; the
+    # last step reuses the previous step's drives.
     kh, kw = model.kernel
     w_conv2 = w_conv.reshape(c1, -1)
     j1 = np.zeros((b, c1, oh, ow))
@@ -400,7 +403,6 @@ def forward_batch(
     tape = None
     if want_tape:
         tape = Tape(
-            bits=bits,
             s1=np.empty((t, b, c1, oh, ow), dtype=spike_dtype),
             cells=np.empty((t, b, c1, ph, pw), dtype=np.intp),
             v1_routed=np.empty((t, b, c1, ph, pw)),
@@ -419,23 +421,20 @@ def forward_batch(
         )
         route_offsets = np.array([0, 1, ow, ow + 1], dtype=np.intp)
 
-    n_spikes = np.zeros((3, b), dtype=np.int64)  # sigma1..sigma3, per example
-    per_step = np.zeros((t, 4), dtype=np.int64)
-
     for k in range(t):
-        live = k < drive_steps
+        live = k < t - 1
         if live:
             for i, patches in patch_chunks(bits[:, k], kh, kw):
                 np.matmul(w_conv2, patches, out=j1_rows[i : i + len(patches)])
-        v1_next, s1 = fire(v1, j1, v1_spare)
+        v1_next, s1 = fire(v1, j1, v1_spare, 0)
         pooled, route = _maxpool_route(s1, want_route=want_tape)
         flat = pooled.reshape(b, -1)
         if live:
             j2 = dense_drive(flat, w_fc1)
-        v2_next, s2 = fire(v2, j2, v2_spare)
+        v2_next, s2 = fire(v2, j2, v2_spare, 1)
         if live:
             j3 = dense_drive(s2, w_fc2)
-        v3_next, s3 = fire(v3, j3, v3_spare)
+        v3_next, s3 = fire(v3, j3, v3_spare, 2)
         acc += s3
 
         if want_tape:
@@ -450,41 +449,29 @@ def forward_batch(
             tape.v3_pre[k] = v3
             tape.s3[k] = s3
         if hard:
-            for layer, s in enumerate((s1, s2, s3)):
+            for layer, s in enumerate((s1, s2, s3), start=1):
                 step_counts = s.reshape(b, -1).sum(axis=1, dtype=np.int64)
-                n_spikes[layer] += step_counts
-                per_step[k, layer + 1] = step_counts.sum()
+                counts[layer] += step_counts
+                per_step[k, layer] += step_counts.sum()
         v1, v1_spare = v1_next, v1
         v2, v2_spare = v2_next, v2
         v3, v3_spare = v3_next, v3
 
     n_input_steps = bits.reshape(b, t, -1).sum(axis=2, dtype=np.int64)
     if hard:
-        per_step[:, 0] = n_input_steps.sum(axis=0)
-    n_input = n_input_steps.sum(axis=1)
-    probs = softmax(acc)
-    counts = {"input": n_input, "sigma1": n_spikes[0], "sigma2": n_spikes[1],
-              "sigma3": n_spikes[2]}
-    return BatchForward(
-        probs=probs,
-        accumulator=acc,
-        spike_counts=counts,
-        per_step_spikes=per_step,
-        tape=tape,
-    )
+        per_step[:, 0] += n_input_steps.sum(axis=0)
+    counts[0] = n_input_steps.sum(axis=1)
+    return tape
 
 
-def forward(model: SnnModel, tensor: SpikeTensor, use_quantized: bool = False,
-            per_step: bool = False):
-    """Single-input forward: returns (probabilities, ForwardTrace)."""
-    result = forward_batch(model, tensor.bits[None], use_quantized=use_quantized)
-    counts = {name: int(v[0]) for name, v in result.spike_counts.items()}
-    trace = ForwardTrace(
-        accumulator=result.accumulator[0],
-        spike_counts=counts,
-        per_step_spikes=result.per_step_spikes if per_step else None,
-    )
-    return result.probs[0], trace
+def forward(model: SnnModel, tensor: SpikeTensor, use_quantized: bool = False):
+    """Single-input forward: returns (probabilities, BatchForward of that
+    input, each value without its batch axis and counts as ints)."""
+    out = forward_batch(model, tensor.bits[None], use_quantized=use_quantized)
+    counts = {name: int(c[0]) for name, c in out.spike_counts.items()}
+    trace = BatchForward(probs=out.probs[0], accumulator=out.accumulator[0],
+                         spike_counts=counts, per_step_spikes=out.per_step_spikes)
+    return trace.probs, trace
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +479,9 @@ def forward(model: SnnModel, tensor: SpikeTensor, use_quantized: bool = False,
 
 
 _MODEL_FORMAT = "spikeradar-model"
+# The neuron model, written to every model file so that readers of earlier
+# versions, which also knew an integrate-then-fire variant, read it.
+_FIRE_MODE = "compare_then_integrate"
 _AXES = {
     "conv": ["out_channel", "in_channel", "kernel_h", "kernel_w"],
     "fc1": ["out", "in"],
@@ -512,14 +502,14 @@ def save_model(model: SnnModel, path) -> None:
         "hidden": model.hidden,
         "conv_channels": model.conv_channels,
         "kernel": list(model.kernel),
-        "fire_mode": model.fire_mode,
+        "fire_mode": _FIRE_MODE,
         "tensors": list(WEIGHT_NAMES),
         "quantization": None,
         "provenance": model.provenance,
     }
     if model.quantized:
         manifest["quantization"] = {
-            "bits": model.quantized_bits,
+            "bits": model.quantized["conv"].bits,
             "scales": {n: model.quantized[n].scale for n in WEIGHT_NAMES},
         }
     with open(path, "wb") as f:
@@ -537,10 +527,6 @@ _MANIFEST_INTS = ("t_inf", "n_classes", "hidden", "conv_channels")
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_number(x) -> bool:
-    return isinstance(x, float) or _is_int(x)
 
 
 def _check_manifest(manifest, path) -> None:
@@ -562,11 +548,14 @@ def _check_manifest(manifest, path) -> None:
         if not (isinstance(value, list) and len(value) == rank
                 and all(_is_int(n) for n in value)):
             raise InvalidInput(f"{path}: model field {key!r} must be {rank} integers")
+    if manifest["fire_mode"] != _FIRE_MODE:
+        raise InvalidInput(f"{path}: fire_mode must be {_FIRE_MODE!r}")
     qmeta = manifest.get("quantization")
     if qmeta:
         scales = qmeta.get("scales") if isinstance(qmeta, dict) else None
         if not (isinstance(scales, dict) and _is_int(qmeta.get("bits"))
-                and all(_is_number(scales.get(n)) for n in WEIGHT_NAMES)):
+                and all(isinstance(scales.get(n), float) or _is_int(scales.get(n))
+                        for n in WEIGHT_NAMES)):
             raise InvalidInput(f"{path}: malformed quantization in model manifest")
 
 
@@ -612,7 +601,6 @@ def load_model(path) -> SnnModel:
         hidden=manifest["hidden"],
         conv_channels=manifest["conv_channels"],
         kernel=tuple(manifest["kernel"]),
-        fire_mode=manifest["fire_mode"],
         quantized=quantized,
         provenance=manifest.get("provenance"),
     )

@@ -25,16 +25,8 @@ import numpy as np
 
 from .data import stratified_folds
 from .errors import InvalidInput, NonFiniteGradient
-from .quant import quantize
-from .snn import (
-    THRESHOLD,
-    WEIGHT_NAMES,
-    SnnModel,
-    forward_batch,
-    init_model,
-    patch_chunks,
-    resolve_weights,
-)
+from .quant import dequantize, quantize
+from .snn import THRESHOLD, SnnModel, forward_batch, init_model, patch_chunks
 
 GAIN_AT_THRESHOLD = 1.0 / np.sqrt(2.0 * np.pi)
 
@@ -161,25 +153,23 @@ def backprop_through_time(
     model: SnnModel,
     bits: np.ndarray,
     labels: np.ndarray,
-    use_quantized_forward: bool = False,
     mode: str = "hard",
     weights: dict | None = None,
 ):
     """Gradients of the mean cross-entropy on softmax(A) for one batch.
 
-    When use_quantized_forward is set, the forward (and the linear-map
-    Jacobians of the backward, which must match the forward graph) use the
-    dequantized view, while the returned gradients apply to the
-    full-precision master weights (straight-through estimator for the
-    quantizer).
+    The forward, and the linear-map Jacobians of the backward, which must
+    match the forward graph, run on weights, the master weights by default.
+    The QAT epochs pass the dequantized view, and the returned gradients
+    apply to the master weights all the same (straight-through estimator
+    for the quantizer).
 
     Returns:
         (grads, loss, probs) with grads keyed like model.weights.
     """
     bits = np.asarray(bits)
     labels = _check_labels(labels, bits.shape[0], model.n_classes)
-    if weights is None:
-        weights = resolve_weights(model, use_quantized_forward)
+    weights = model.weights if weights is None else weights
     out = forward_batch(model, bits, mode=mode, want_tape=True, weights=weights)
     tape = out.tape
     b = bits.shape[0]
@@ -371,20 +361,6 @@ def _quantize_all(weights: dict, bits: int) -> dict:
     return {name: quantize(w, bits) for name, w in weights.items()}
 
 
-def evaluate(model: SnnModel, bits: np.ndarray, labels: np.ndarray,
-             use_quantized: bool = True, batch: int = 128):
-    """Accuracy and confusion matrix (rows true, cols predicted)."""
-    n = bits.shape[0]
-    confusion = np.zeros((model.n_classes, model.n_classes), dtype=np.int64)
-    correct = 0
-    for idx in _batches(np.arange(n), batch):
-        out = forward_batch(model, bits[idx], use_quantized=use_quantized)
-        preds = np.argmax(out.probs, axis=1)
-        correct += int((preds == labels[idx]).sum())
-        np.add.at(confusion, (labels[idx], preds), 1)
-    return correct / n, confusion
-
-
 @dataclass(frozen=True)
 class _FoldJob:
     """What every fold of one train call reads."""
@@ -417,7 +393,6 @@ def _train_fold(job: _FoldJob, fold: int):
         hidden=model.hidden,
         conv_channels=model.conv_channels,
         kernel=model.kernel,
-        fire_mode=model.fire_mode,
     )
     shuffle_rng = np.random.default_rng([cfg.seed, fold, 1])
     adam = AdamState.for_weights(m.weights)
@@ -440,19 +415,21 @@ def _train_fold(job: _FoldJob, fold: int):
         for batch_idx in _batches(perm, cfg.batch):
             # The quantized view is rebuilt from the just-updated master
             # before every batch, never reused stale.
-            m.quantized = _quantize_all(m.weights, cfg.bits)
+            view = _quantize_all(m.weights, cfg.bits)
             grads, loss, _ = backprop_through_time(
                 m, bits[batch_idx], labels[batch_idx],
-                use_quantized_forward=True,
+                weights={name: dequantize(q) for name, q in view.items()},
             )
             adam_step(m.weights, grads, adam, lr=cfg.lr)
             loss_sum += loss * len(batch_idx)
         curve.append(loss_sum / len(train_idx))
 
     m.quantized = _quantize_all(m.weights, cfg.bits)
-    acc, confusion = evaluate(
-        m, bits[val_idx], labels[val_idx], use_quantized=True, batch=cfg.batch,
-    )
+    val_labels = labels[val_idx]
+    preds = forward_batch(m, bits[val_idx], use_quantized=True).probs.argmax(axis=1)
+    confusion = np.zeros((m.n_classes, m.n_classes), dtype=np.int64)
+    np.add.at(confusion, (val_labels, preds), 1)
+    acc = int((preds == val_labels).sum()) / len(val_idx)
     return acc, confusion, curve, m
 
 

@@ -25,13 +25,11 @@ class RadarCube:
             fast-time samples within the chirp.
         n_chirps_per_frame: chirps per frame (192 for the 8-GHz sensor).
         n_frames: number of frames in the acquisition.
-        sample_rate_meta: optional free-form acquisition metadata.
     """
 
     samples: np.ndarray
     n_chirps_per_frame: int = 192
     n_frames: int = 1
-    sample_rate_meta: dict | None = None
 
     def __post_init__(self):
         samples = np.asarray(self.samples)
@@ -51,10 +49,6 @@ class RadarCube:
             )
         if not np.isfinite(samples).all():
             raise InvalidInput("radar cube contains non-finite samples")
-
-    @property
-    def n_total_chirps(self) -> int:
-        return self.samples.shape[0]
 
 
 @dataclass(frozen=True)

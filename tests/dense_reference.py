@@ -5,12 +5,19 @@ for the conv drive of every step of the whole batch, a full-size tape and
 surrogate for sigma1, and an explicit unpool scatter of the pooled-cell
 gradients back to each window's routed cell. The package computes the same
 gradients without building any of those full-size arrays; tests compare
-the two in both forward modes and both fire modes.
+the two in both forward modes.
 """
 
 import numpy as np
 
-from spikeradar.snn import WEIGHT_NAMES, _if_update, _maxpool_route, relaxed_spike, softmax
+from spikeradar.snn import (
+    THRESHOLD,
+    WEIGHT_NAMES,
+    _if_update,
+    _maxpool_route,
+    relaxed_spike,
+    softmax,
+)
 from spikeradar.training import cross_entropy, surrogate_gain
 
 
@@ -59,7 +66,7 @@ def dense_forward(model, bits, mode, weights):
     def layer(i, drive):
         tape[f"v{i + 1}"].append(v[i])
         if hard:
-            v[i], s = _if_update(v[i], drive, model.fire_mode)
+            v[i], s = _if_update(v[i], drive, THRESHOLD)
             s = s.astype(np.uint8)
         else:
             s = relaxed_spike(v[i])

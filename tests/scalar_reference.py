@@ -40,19 +40,12 @@ def naive_stft_magnitude(samples, window_len, hop):
 DISCARDED_DRIVE_EVENTS = 0
 
 
-def scalar_if_step(v, drive, fire_mode="compare_then_integrate"):
+def scalar_if_step(v, drive):
     """One neuron, one step. Returns (v_next, spike)."""
     global DISCARDED_DRIVE_EVENTS
-    if fire_mode == "compare_then_integrate":
-        if v >= 1.0:
-            if drive > 0.0:
-                DISCARDED_DRIVE_EVENTS += 1
-            return 0.0, 1
-        v_next = v + drive
-        if v_next < 0.0:
-            v_next = 0.0
-        return v_next, 0
-    if v + drive >= 1.0:
+    if v >= 1.0:
+        if drive > 0.0:
+            DISCARDED_DRIVE_EVENTS += 1
         return 0.0, 1
     v_next = v + drive
     if v_next < 0.0:
@@ -60,7 +53,7 @@ def scalar_if_step(v, drive, fire_mode="compare_then_integrate"):
     return v_next, 0
 
 
-def scalar_forward(weights, bits, n_classes, hidden, fire_mode="compare_then_integrate"):
+def scalar_forward(weights, bits, n_classes, hidden):
     """Whole-network forward as explicit loops. Returns (acc, probs, counts).
 
     bits: (T, C, H, W) binary input for one example.
@@ -96,7 +89,7 @@ def scalar_forward(weights, bits, n_classes, hidden, fire_mode="compare_then_int
                                 if frame[ci, y + dy, x + dx]:
                                     drive += float(w_conv[co, ci, dy, dx])
                     v1[co][y][x], s1[co][y][x] = scalar_if_step(
-                        v1[co][y][x], drive, fire_mode
+                        v1[co][y][x], drive
                     )
                     n_s1 += s1[co][y][x]
         pooled = [[[0] * pw for _ in range(ph)] for _ in range(c1)]
@@ -120,7 +113,7 @@ def scalar_forward(weights, bits, n_classes, hidden, fire_mode="compare_then_int
             for i, bit in enumerate(flat):
                 if bit:
                     drive += float(w_fc1[u, i])
-            v2[u], s2[u] = scalar_if_step(v2[u], drive, fire_mode)
+            v2[u], s2[u] = scalar_if_step(v2[u], drive)
             n_s2 += s2[u]
         s3 = [0] * n_classes
         for u in range(n_classes):
@@ -128,7 +121,7 @@ def scalar_forward(weights, bits, n_classes, hidden, fire_mode="compare_then_int
             for i in range(hidden):
                 if s2[i]:
                     drive += float(w_fc2[u, i])
-            v3[u], s3[u] = scalar_if_step(v3[u], drive, fire_mode)
+            v3[u], s3[u] = scalar_if_step(v3[u], drive)
             n_s3 += s3[u]
         for u in range(n_classes):
             acc[u] += s3[u]

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -156,6 +157,31 @@ def test_exit_code_corrupt_dataset(tmp_path, capsys):
     rc = main(["dataset", "info", str(tmp_path / "missing")])
     assert rc == 3
     assert "error:" in capsys.readouterr().err
+
+
+def with_entry(src, dst, key, value):
+    """A copy of dataset src at dst whose first example has key set to value."""
+    shutil.copytree(src, dst)
+    manifest = json.loads((dst / "manifest.json").read_text())
+    manifest["examples"][0][key] = value
+    (dst / "manifest.json").write_text(json.dumps(manifest))
+    return dst
+
+
+@pytest.mark.parametrize("label", ["x", None, 1.7, True])
+def test_exit_code_non_integer_label(synth_dir, tmp_path, capsys, label):
+    bad = with_entry(synth_dir, tmp_path / "ds", "label", label)
+    assert main(["dataset", "info", str(bad)]) == 3
+    assert "label" in capsys.readouterr().err
+
+
+def test_exit_code_non_integer_segment_index(model_path, spikes_dir, tmp_path,
+                                             capsys):
+    bad = with_entry(spikes_dir, tmp_path / "ds", "segment_index", "q")
+    rc = main(["energy", "--model", str(model_path), "--dataset", str(bad),
+               "--out", str(tmp_path / "energy.json")])
+    assert rc == 3
+    assert "segment_index" in capsys.readouterr().err
 
 
 def test_exit_code_invalid_input(tmp_path, capsys):

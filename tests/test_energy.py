@@ -12,10 +12,9 @@ from spikeradar.energy import (
     EnergyReport,
     energy_per_classification,
     report_for_dataset,
-    spike_counts_for_batch,
 )
 from spikeradar.errors import InvalidInput
-from spikeradar.snn import SnnModel
+from spikeradar.snn import SnnModel, forward_batch
 
 
 def tiny_model(weights, meta, t_inf, shape=(1, 8, 8), n_classes=3, hidden=7):
@@ -91,21 +90,24 @@ def test_for_t_inf_scales_window():
 
 def test_counts_match_scalar_network():
     rng = np.random.default_rng(40)
+    hw = HardwareProfile()
     for _ in range(5):
         weights, bits, meta = random_tiny_model(rng, t_inf=3, scale=0.9)
         model = tiny_model(weights, meta, 3)
         batch = (rng.random((4,) + bits.shape) < 0.4).astype(np.uint8)
-        totals = spike_counts_for_batch(
-            model, batch, use_quantized=False, include_input_spikes=True
-        )
-        without = spike_counts_for_batch(
-            model, batch, use_quantized=False, include_input_spikes=False
-        )
+        counts = forward_batch(model, batch).spike_counts
         for i in range(4):
-            _, _, counts = scalar_forward(weights, batch[i], 3, 7)
-            hidden_total = counts["sigma1"] + counts["sigma2"] + counts["sigma3"]
-            assert without[i] == hidden_total
-            assert totals[i] == hidden_total + batch[i].sum()
+            _, _, ref = scalar_forward(weights, batch[i], 3, 7)
+            for name in ("sigma1", "sigma2", "sigma3"):
+                assert counts[name][i] == ref[name]
+            assert counts["input"][i] == batch[i].sum()
+            hidden_total = ref["sigma1"] + ref["sigma2"] + ref["sigma3"]
+            one = batch[i : i + 1]
+            without = report_for_dataset(model, one, hw, use_quantized=False,
+                                         include_input_spikes=False)
+            assert without.n_spikes_max == hidden_total
+            total = report_for_dataset(model, one, hw, use_quantized=False)
+            assert total.n_spikes_max == hidden_total + batch[i].sum()
 
 
 def test_report_aggregates_and_json():
@@ -115,7 +117,8 @@ def test_report_aggregates_and_json():
     batch = (rng.random((6,) + bits.shape) < 0.5).astype(np.uint8)
     hw = HardwareProfile.for_t_inf(2)
     report = report_for_dataset(model, batch, hw, use_quantized=False)
-    totals = spike_counts_for_batch(model, batch, use_quantized=False)
+    counts = forward_batch(model, batch).spike_counts
+    totals = sum(counts.values())
     assert report.n_spikes_max == totals.max()
     assert report.n_spikes_mean == pytest.approx(totals.mean())
     assert report.e_c_max == pytest.approx(

@@ -1,5 +1,7 @@
 """Symmetric per-tensor weight quantizer: bounds, levels, idempotence."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -88,3 +90,26 @@ def test_dequantize_dtype_and_shape():
     back = dequantize(q)
     assert back.shape == w.shape
     assert back.dtype == np.float64
+
+
+def test_threshold_is_exact_ceiling_of_inverse_scale():
+    def view(scale):
+        return QuantizedTensor(codes=np.ones(3, dtype=np.int8), scale=scale, bits=4)
+
+    # 1/3 as a double is just below one third, so 3 units fall short of 1
+    assert view(1 / 3).threshold == 4
+    assert view(0.125).threshold == 8
+    assert view(1.0).threshold == 1
+    assert view(3.0).threshold == 1
+    assert view(0.3).threshold == 4
+    assert view(5e-324).threshold == 2.0 ** 53
+
+
+def test_code_units_are_a_read_only_cache_left_out_of_pickles():
+    q = quantize(np.array([0.5, -0.25, 0.1]), bits=4)
+    units = q.code_units
+    assert units.dtype == np.float64 and np.array_equal(units, q.codes)
+    assert q.code_units is units and not units.flags.writeable
+    copy = pickle.loads(pickle.dumps(q))
+    assert "code_units" not in copy.__dict__
+    assert np.array_equal(copy.code_units, units) and copy.scale == q.scale

@@ -6,11 +6,13 @@ import os
 import numpy as np
 import pytest
 
+from integer_reference import integer_forward
 from scalar_reference import dyadic_weights, random_tiny_model, scalar_forward
 from spikeradar.encoding import SpikeTensor
 from spikeradar.errors import InvalidInput, MissingQuantizedWeights
-from spikeradar.quant import quantize
+from spikeradar.quant import QuantizedTensor, dequantize, quantize
 from spikeradar.snn import (
+    THRESHOLD,
     SnnModel,
     _if_update,
     _maxpool_route,
@@ -23,11 +25,7 @@ from spikeradar.snn import (
     softmax,
 )
 
-CTI = "compare_then_integrate"
-
-
-def tiny_model(weights, meta, t_inf, shape, n_classes, hidden,
-               fire_mode="compare_then_integrate"):
+def tiny_model(weights, meta, t_inf, shape, n_classes, hidden):
     return SnnModel(
         weights=weights,
         t_inf=t_inf,
@@ -36,7 +34,6 @@ def tiny_model(weights, meta, t_inf, shape, n_classes, hidden,
         hidden=hidden,
         conv_channels=meta["c1"],
         kernel=meta["kernel"],
-        fire_mode=fire_mode,
     )
 
 
@@ -45,13 +42,13 @@ def tiny_model(weights, meta, t_inf, shape, n_classes, hidden,
 
 def test_if_step_branch_semantics():
     # sub-threshold accumulation
-    v, s = _if_update(np.array([0.5]), np.array([0.3]), CTI)
+    v, s = _if_update(np.array([0.5]), np.array([0.3]), THRESHOLD)
     assert not s[0] and v[0] == pytest.approx(0.8)
     # above threshold: spike, reset, and the incoming drive is discarded
-    v, s = _if_update(np.array([1.2]), np.array([99.0]), CTI)
+    v, s = _if_update(np.array([1.2]), np.array([99.0]), THRESHOLD)
     assert s[0] and v[0] == 0.0
     # negative drive clamps at zero
-    v, s = _if_update(np.array([0.1]), np.array([-5.0]), CTI)
+    v, s = _if_update(np.array([0.1]), np.array([-5.0]), THRESHOLD)
     assert not s[0] and v[0] == 0.0
 
 
@@ -62,17 +59,11 @@ def test_if_constant_drive_trace():
     trace = []
     spikes = []
     for _ in range(6):
-        v, s = _if_update(v, np.array([0.4]), CTI)
+        v, s = _if_update(v, np.array([0.4]), THRESHOLD)
         trace.append(round(float(v[0]), 10))
         spikes.append(int(s[0]))
     assert spikes == [0, 0, 0, 1, 0, 0]
     assert trace == [0.4, 0.8, 1.2, 0.0, 0.4, 0.8]
-
-
-def test_if_step_integrate_then_fire_variant():
-    v, s = _if_update(np.array([0.7]), np.array([0.4]), "integrate_then_fire")
-    # 0.7 + 0.4 crosses threshold within the same step here
-    assert s[0] and v[0] == 0.0
 
 
 def test_relaxed_spike_anchors():
@@ -159,25 +150,11 @@ def test_forward_close_vs_scalar_reference_continuous():
         assert np.abs(probs - probs_ref).max() < 1e-12
 
 
-def test_forward_integrate_then_fire_vs_scalar():
-    rng = np.random.default_rng(63)
-    for _ in range(10):
-        weights, bits, meta = random_tiny_model(rng, t_inf=3, dyadic=True)
-        model = tiny_model(weights, meta, 3, (1, 8, 8), 3, 7,
-                           fire_mode="integrate_then_fire")
-        probs, trace = forward(model, SpikeTensor(bits=bits))
-        acc_ref, probs_ref, _ = scalar_forward(
-            weights, bits, 3, 7, fire_mode="integrate_then_fire"
-        )
-        assert np.array_equal(trace.accumulator, acc_ref)
-        assert np.array_equal(probs, probs_ref)
-
-
 def test_zero_input_propagates_zero():
     m = init_model(input_shape=(1, 10, 10), n_classes=4, t_inf=4, seed=5)
     bits = np.zeros((4, 1, 10, 10), dtype=np.uint8)
     probs, trace = forward(m, SpikeTensor(bits=bits))
-    assert trace.total_spikes == 0
+    assert sum(trace.spike_counts.values()) == 0
     assert np.all(trace.accumulator == 0)
     assert np.allclose(probs, 0.25)
 
@@ -241,6 +218,86 @@ def test_quantized_forward_requires_quantized_weights():
     bits = np.zeros((1, 4, 1, 10, 10), dtype=np.uint8)
     with pytest.raises(MissingQuantizedWeights):
         forward_batch(m, bits, use_quantized=True)
+    m.quantized = {k: quantize(v, bits=4) for k, v in m.weights.items()}
+    with pytest.raises(InvalidInput):
+        forward_batch(m, bits, use_quantized=True, mode="relaxed")
+
+
+# ── quantized view in code units vs the exact-rational oracle ───────────────
+
+
+def assert_matches_integer_oracle(model, bits):
+    """Accumulators, predictions and all four spike counts, bit for bit."""
+    codes = {n: q.codes for n, q in model.quantized.items()}
+    scales = {n: q.scale for n, q in model.quantized.items()}
+    want = integer_forward(codes, scales, bits)
+    got = forward_batch(model, bits, use_quantized=True)
+    assert np.array_equal(got.accumulator, want["accumulator"])
+    assert np.array_equal(np.argmax(got.probs, axis=1), want["predicted"])
+    names = ("input", "sigma1", "sigma2", "sigma3")
+    counts = np.stack([got.spike_counts[n] for n in names], axis=1)
+    assert np.array_equal(counts, want["counts"])
+    return counts
+
+
+@pytest.mark.parametrize("n_bits", [4, 6, 8])
+def test_quantized_forward_matches_integer_oracle(n_bits):
+    rng = np.random.default_rng(90 + n_bits)
+    totals = np.zeros(4, dtype=np.int64)
+    for _ in range(12):
+        t_inf = int(rng.integers(2, 6))
+        n_classes = int(rng.integers(2, 5))
+        hidden = int(rng.integers(4, 10))
+        shape = (int(rng.integers(1, 3)), 8, 8)
+        weights, _, meta = random_tiny_model(
+            rng, t_inf=t_inf, shape=shape, n_classes=n_classes, hidden=hidden,
+            scale=1.5,
+        )
+        model = tiny_model(weights, meta, t_inf, shape, n_classes, hidden)
+        model.quantized = {k: quantize(w, n_bits) for k, w in weights.items()}
+        bits = (rng.random((6, t_inf) + shape) < 0.35).astype(np.uint8)
+        totals += assert_matches_integer_oracle(model, bits).sum(axis=0)
+    assert (totals > 0).all(), totals
+
+
+def test_quantized_all_zero_tensor_matches_integer_oracle():
+    # an all-zero tensor quantizes to scale 1, so its layer fires at 1 unit
+    rng = np.random.default_rng(94)
+    weights, bits, meta = random_tiny_model(rng, t_inf=4, scale=1.5)
+    weights["fc1"][:] = 0.0
+    model = tiny_model(weights, meta, 4, (1, 8, 8), 3, 7)
+    model.quantized = {k: quantize(w, 4) for k, w in weights.items()}
+    fc1 = model.quantized["fc1"]
+    assert fc1.scale == 1.0 and fc1.threshold == 1
+    batch = (rng.random((5,) + bits.shape) < 0.35).astype(np.uint8)
+    counts = assert_matches_integer_oracle(model, batch)
+    assert counts[:, 1].sum() > 0 and counts[:, 2:].sum() == 0
+
+
+def test_quantized_tie_at_one_third_matches_integer_oracle():
+    """Three codes of scale 1/3 sum to 0.99999999999999994 exactly, short
+    of the threshold; the float sum of the dequantized weights rounds to
+    1.0, so a float forward fires a step early."""
+    views = {
+        "conv": QuantizedTensor(codes=np.ones((1, 1, 3, 3), dtype=np.int8),
+                                scale=1 / 3, bits=4),
+        "fc1": QuantizedTensor(codes=np.ones((1, 1), dtype=np.int8),
+                               scale=1.0, bits=4),
+        "fc2": QuantizedTensor(codes=np.array([[1], [0]], dtype=np.int8),
+                               scale=1.0, bits=4),
+    }
+    assert views["conv"].threshold == 4
+    weights = {k: dequantize(q) for k, q in views.items()}
+    model = tiny_model(weights, {"c1": 1, "kernel": (3, 3)}, 4, (1, 4, 4), 2, 1)
+    model.quantized = views
+    # three spikes in the top-left conv cell's window at every step, two in
+    # the window of the cell below it
+    bits = np.zeros((1, 4, 1, 4, 4), dtype=np.uint8)
+    bits[0, :, 0, 0:3, 0] = 1
+    counts = assert_matches_integer_oracle(model, bits)
+    # 3 units after step 1 do not fire; both cells fire once, at step 3,
+    # with 6 and 4 units, and sigma2 follows a step later
+    assert counts[0].tolist() == [12, 2, 1, 0]
 
 
 # ── softmax ─────────────────────────────────────────────────────────────────
@@ -296,7 +353,6 @@ def test_save_load_roundtrip(tmp_path):
     assert back.t_inf == m.t_inf
     assert back.n_classes == m.n_classes
     assert back.input_shape == m.input_shape
-    assert back.fire_mode == m.fire_mode
     assert back.provenance == m.provenance
     for k in m.weights:
         assert np.array_equal(back.weights[k], m.weights[k]), k
@@ -357,6 +413,22 @@ def test_load_rejects_malformed_manifest(tmp_path):
         with pytest.raises(InvalidInput):
             load_model(path)
 
+
+
+def test_load_rejects_other_fire_mode(tmp_path):
+    m = init_model(input_shape=(1, 8, 8), n_classes=2, t_inf=2, seed=5)
+    good = os.path.join(tmp_path, "good.bin")
+    save_model(m, good)
+    with open(good, "rb") as f:
+        manifest = json.loads(f.readline())
+        payload = f.read()
+    assert manifest["fire_mode"] == "compare_then_integrate"
+    bad = os.path.join(tmp_path, "bad.bin")
+    with open(bad, "wb") as f:
+        f.write(json.dumps(dict(manifest, fire_mode="integrate_then_fire"))
+                .encode() + b"\n" + payload)
+    with pytest.raises(InvalidInput):
+        load_model(bad)
 
 
 def test_load_ignores_keys_of_earlier_files(tmp_path):

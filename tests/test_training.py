@@ -19,14 +19,12 @@ from spikeradar.training import (
     adam_step,
     backprop_through_time,
     cross_entropy,
-    evaluate,
     surrogate_gain,
     train,
 )
 
 
-def tiny_model(weights, meta, t_inf, shape=(1, 8, 8), n_classes=3, hidden=7,
-               fire_mode="compare_then_integrate"):
+def tiny_model(weights, meta, t_inf, shape=(1, 8, 8), n_classes=3, hidden=7):
     return SnnModel(
         weights=weights,
         t_inf=t_inf,
@@ -35,7 +33,6 @@ def tiny_model(weights, meta, t_inf, shape=(1, 8, 8), n_classes=3, hidden=7,
         hidden=hidden,
         conv_channels=meta["c1"],
         kernel=meta["kernel"],
-        fire_mode=fire_mode,
     )
 
 
@@ -139,10 +136,8 @@ def max_rel_error(grads, ref):
     return worst
 
 
-@pytest.mark.parametrize("fire_mode", ["compare_then_integrate",
-                                       "integrate_then_fire"])
 @pytest.mark.parametrize("mode", ["hard", "relaxed"])
-def test_bptt_matches_dense_reference_tiny(mode, fire_mode):
+def test_bptt_matches_dense_reference_tiny(mode):
     """Lean BPTT vs the dense im2col/full-surrogate/unpool algorithm."""
     rng = np.random.default_rng(75)
     for trial in range(12):
@@ -155,8 +150,7 @@ def test_bptt_matches_dense_reference_tiny(mode, fire_mode):
             rng, t_inf=t_inf, shape=shape, n_classes=n_classes, hidden=hidden,
             dyadic=True, scale=1.0,
         )
-        model = tiny_model(weights, meta, t_inf, shape, n_classes, hidden,
-                           fire_mode=fire_mode)
+        model = tiny_model(weights, meta, t_inf, shape, n_classes, hidden)
         batch = (rng.random((5,) + bits.shape) < 0.35).astype(np.uint8)
         labels = rng.integers(0, n_classes, size=5).astype(np.int64)
         grads, loss, probs = backprop_through_time(model, batch, labels, mode=mode)
@@ -388,13 +382,16 @@ def test_training_determinism():
 
 
 def test_evaluate_confusion_shape():
-    rng = np.random.default_rng(82)
+    """Every fold's held-out evaluation adds into one confusion matrix."""
     m = init_model(input_shape=(1, 12, 12), n_classes=2, t_inf=4, seed=0)
     bits, labels = small_sanity(n_per_class=10, seed=83)
-    acc, confusion = evaluate(m, bits, labels, use_quantized=False)
-    assert 0.0 <= acc <= 1.0
-    assert confusion.shape == (2, 2)
-    assert confusion.sum() == len(labels)
+    cfg = TrainConfig(epochs_full=0, epochs_qat=0, folds=2, seed=0)
+    _, report = train(m, (bits, labels), cfg)
+    assert report.confusion.shape == (2, 2)
+    assert report.confusion.sum() == len(labels)
+    # two stratified folds of 10 examples each
+    correct = sum(acc * 10 for acc in report.fold_accuracies)
+    assert np.trace(report.confusion) == round(correct)
 
 
 # ── fold pool ───────────────────────────────────────────────────────────────
