@@ -10,6 +10,7 @@ dataset, 1 internal error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -20,14 +21,16 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .container import file_digest, read_tensor, write_tensor
+from .container import file_digest, read_tensor
 from .data import (
     dataset_info,
     encode_examples,
     export_dataset,
     ingest_external,
+    read_payload,
     synth_class_names,
     synth_udoppler,
+    write_payload,
 )
 from .encoding import SpikeTensor, ttfs_encode
 from .energy import HardwareProfile, report_for_dataset
@@ -104,6 +107,10 @@ def _cmd_dsp_udoppler(args):
         raise InvalidInput(
             f"{args.input}: expected a 2-D f32 cube (chirps x fast-time)"
         )
+    if args.chirps_per_frame < 1:
+        raise InvalidInput(
+            f"--chirps-per-frame must be >= 1, got {args.chirps_per_frame}"
+        )
     if values.shape[0] % args.chirps_per_frame:
         raise InvalidInput(
             f"{values.shape[0]} chirps not divisible by "
@@ -114,7 +121,12 @@ def _cmd_dsp_udoppler(args):
         n_chirps_per_frame=args.chirps_per_frame,
         n_frames=values.shape[0] // args.chirps_per_frame,
     )
-    gesture_bin = None if args.range_bin == "auto" else int(args.range_bin)
+    try:
+        gesture_bin = None if args.range_bin == "auto" else int(args.range_bin)
+    except ValueError:
+        raise InvalidInput(
+            f"--range-bin must be an integer or 'auto', got {args.range_bin!r}"
+        ) from None
     maps = process_cube(
         cube,
         cfg=StftConfig(window_len=args.window, hop=args.hop),
@@ -129,8 +141,7 @@ def _cmd_dsp_udoppler(args):
     index = []
     for i, m in enumerate(maps):
         fname = f"map{i:05d}.bin"
-        write_tensor(os.path.join(args.out, fname), m.values,
-                     ["time", "doppler"], dtype="f32")
+        write_payload(os.path.join(args.out, fname), m)
         index.append(fname)
         if args.export_pgm:
             export_map_pgm(m.values, args.out, f"map{i:05d}")
@@ -147,14 +158,8 @@ def _cmd_dsp_udoppler(args):
 
 def _cmd_dsp_rangedoppler(args):
     started = time.monotonic()
-    values, header = read_tensor(args.input)
-    if header["dtype"] != "f32" or values.ndim != 3:
-        raise InvalidInput(
-            f"{args.input}: expected a 3-D f32 sequence (frame x range x Doppler)"
-        )
-    seq = RangeDopplerSequence(frames=values.astype(np.float64))
-    binary = binarize(temporal_subsample(seq, args.tinf))
-    write_tensor(args.out, binary.frames, ["step", "range", "doppler"], dtype="u1")
+    seq = read_payload(args.input, RangeDopplerSequence)
+    write_payload(args.out, binarize(temporal_subsample(seq, args.tinf)))
     print(f"wrote binary sequence ({args.tinf} steps) to {args.out}")
     _run_record(args.out, "dsp rangedoppler", args, [args.input], None, started)
     return 0
@@ -167,9 +172,7 @@ def _cmd_encode_ttfs(args):
         bits, _ = encode_examples(examples, t_inf=args.tinf)
         os.makedirs(args.out, exist_ok=True)
         encoded = [
-            type(ex)(payload=SpikeTensor(bits=bits[i]), label=ex.label,
-                     acquisition_id=ex.acquisition_id,
-                     segment_index=ex.segment_index)
+            dataclasses.replace(ex, payload=SpikeTensor(bits=bits[i]))
             for i, ex in enumerate(examples)
         ]
         export_dataset(encoded, args.out, class_names=manifest.class_names,
@@ -179,13 +182,9 @@ def _cmd_encode_ttfs(args):
         print(f"encoded {len(encoded)} examples to spike tensors in {args.out}")
         _run_record(args.out, "encode ttfs", args, [], None, started)
     else:
-        values, header = read_tensor(args.input)
-        if header["dtype"] != "f32" or values.ndim != 2:
-            raise InvalidInput(f"{args.input}: expected a 2-D f32 map")
-        m = MicroDopplerMap(values=values.astype(np.float64), normalized=True)
+        m = read_payload(args.input, MicroDopplerMap)
         tensor = ttfs_encode(m, t_inf=args.tinf)
-        write_tensor(args.out, tensor.bits,
-                     ["time", "channel", "height", "width"], dtype="u1")
+        write_payload(args.out, tensor)
         print(f"wrote spike tensor ({tensor.total_spikes()} spikes, "
               f"{args.tinf} steps) to {args.out}")
         _run_record(args.out, "encode ttfs", args, [args.input], None, started)
@@ -194,22 +193,7 @@ def _cmd_encode_ttfs(args):
 
 def _cmd_train(args):
     started = time.monotonic()
-    examples, manifest = ingest_external(
-        args.dataset,
-        t_inf=args.tinf if args.pipeline == "rangedoppler" else None,
-    )
-    if manifest.pipeline == "spikes":
-        origin = manifest.provenance.get("encoded_from")
-        if origin is not None and origin != args.pipeline:
-            raise InvalidInput(
-                f"--pipeline {args.pipeline} but the spike dataset was "
-                f"encoded from {origin!r}"
-            )
-    elif manifest.pipeline != args.pipeline:
-        raise InvalidInput(
-            f"--pipeline {args.pipeline} but dataset manifest says "
-            f"{manifest.pipeline!r}"
-        )
+    examples, manifest = ingest_external(args.dataset, t_inf=args.tinf)
     bits, labels = encode_examples(examples, t_inf=args.tinf)
     n_classes = len(manifest.class_names)
     template = init_model(
@@ -244,10 +228,7 @@ def _cmd_train(args):
 def _cmd_infer(args):
     started = time.monotonic()
     model = load_model(args.model)
-    values, header = read_tensor(args.input)
-    if header["dtype"] != "u1" or values.ndim != 4:
-        raise InvalidInput(f"{args.input}: expected a 4-D u1 spike tensor")
-    tensor = SpikeTensor(bits=values)
+    tensor = read_payload(args.input, SpikeTensor)
     probs, trace = forward(model, tensor, use_quantized=args.quantized)
     predicted = int(np.argmax(probs))
     print(f"predicted class: {predicted}")
@@ -318,11 +299,18 @@ def _cmd_plot(args):
     stem = os.path.splitext(os.path.basename(args.input))[0]
     if args.input.endswith(".json"):
         with open(args.input, encoding="utf-8") as f:
-            payload = json.load(f)
-        if "loss_curves" not in payload:
-            raise InvalidInput(f"{args.input}: no loss curves to export")
+            try:
+                payload = json.load(f)
+            except ValueError as exc:  # malformed JSON or not UTF-8
+                raise InvalidInput(f"{args.input}: not valid JSON: {exc}") from exc
+        curves = payload.get("loss_curves") if isinstance(payload, dict) else None
+        if not (isinstance(curves, list) and all(isinstance(c, list) for c in curves)
+                and all(type(x) in (int, float) for c in curves for x in c)):
+            raise InvalidInput(
+                f"{args.input}: no loss_curves (lists of numbers) to export"
+            )
         path = os.path.join(args.out, f"{stem}_losses.csv")
-        write_loss_csv(payload["loss_curves"], path)
+        write_loss_csv(curves, path)
         written = [path]
     else:
         values, header = read_tensor(args.input)
@@ -404,8 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="k-fold cross-validation training")
     p.add_argument("--dataset", required=True, metavar="DIR")
-    p.add_argument("--pipeline", choices=("udoppler", "rangedoppler"),
-                   default="udoppler")
     p.add_argument("--tinf", type=int, default=4)
     p.add_argument("--bits", type=int, default=4, choices=(4, 6))
     p.add_argument("--folds", type=int, default=6)

@@ -42,48 +42,25 @@ _DTYPES = {
 }
 
 
-def dtype_tag_for(values: np.ndarray) -> str:
-    """Infer the container dtype tag for an array, or raise InvalidInput."""
-    kind = values.dtype.kind
-    if kind == "f":
-        return "f32" if values.dtype.itemsize <= 4 else "f64"
-    if kind == "c":
-        return "c64"
-    if kind == "b" or (kind == "u" and values.dtype.itemsize == 1):
-        return "u1"
-    if kind == "i" and values.dtype.itemsize == 1:
-        return "i8"
-    if kind in ("u", "i"):
-        # wider ints are accepted only as bit arrays; anything else would
-        # narrow silently
-        if _is_binary(values):
-            return "u1"
-    raise InvalidInput(f"no container dtype tag for array dtype {values.dtype}")
-
-
-def _is_binary(values: np.ndarray) -> bool:
-    return bool(np.isin(values, (0, 1)).all())
-
-
-def write_tensor_to(f, values: np.ndarray, axes, dtype: str | None = None) -> None:
-    """Write one tensor record (header line + payload) to an open binary file."""
+def write_tensor_to(f, values: np.ndarray, axes, dtype: str) -> None:
+    """Write one tensor record (header line + payload) to an open binary file;
+    dtype is the tag the values are stored as."""
     values = np.asarray(values)
-    tag = dtype_tag_for(values) if dtype is None else dtype
     axes = [str(a) for a in axes]
     if len(axes) != values.ndim:
         raise InvalidInput(
             f"axes labels {axes} do not match tensor rank {values.ndim}"
         )
-    if tag == "u1":
-        if not _is_binary(values):
+    if dtype == "u1":
+        if not np.isin(values, (0, 1)).all():
             raise InvalidInput("u1 tensors may only contain 0 and 1")
         payload = np.packbits(values.astype(np.uint8).ravel(order="C"), bitorder="big").tobytes()
-    elif tag in _DTYPES:
-        payload = np.ascontiguousarray(values.astype(_DTYPES[tag])).tobytes()
+    elif dtype in _DTYPES:
+        payload = np.ascontiguousarray(values.astype(_DTYPES[dtype])).tobytes()
     else:
-        raise InvalidInput(f"unknown container dtype tag {tag!r}")
+        raise InvalidInput(f"unknown container dtype tag {dtype!r}")
     header = {
-        "dtype": tag,
+        "dtype": dtype,
         "shape": [int(n) for n in values.shape],
         "axes": axes,
         "endian": "little",
@@ -174,7 +151,7 @@ def read_tensor_from(f):
     return values, header
 
 
-def write_tensor(path, values: np.ndarray, axes, dtype: str | None = None) -> None:
+def write_tensor(path, values: np.ndarray, axes, dtype: str) -> None:
     """Write a single-tensor container file."""
     with open(path, "wb") as f:
         write_tensor_to(f, values, axes, dtype=dtype)

@@ -17,9 +17,10 @@ manifest.json:
       ]
     }
 
-Payload dtypes by pipeline: udoppler -> f32 2-D normalized maps;
-rangedoppler -> f32 3-D magnitude sequences (variable T_fr); spikes ->
-u1 4-D pre-encoded spike tensors.
+Payload files by pipeline (the _PAYLOAD_FILES table, read and written only
+through read_payload and write_payload): udoppler -> f32 2-D normalized
+maps; rangedoppler -> f32 3-D magnitude sequences (variable T_fr) or u1 3-D
+binary sequences; spikes -> u1 4-D pre-encoded spike tensors.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ _PAYLOAD_FILES = {
 
 
 def _payload_file(payload) -> tuple:
-    """(pipeline, array field, axes, dtype) under which payload is exported."""
+    """(pipeline, array field, axes, dtype) under which payload is written."""
     try:
         return _PAYLOAD_FILES[type(payload)]
     except KeyError:
@@ -100,8 +101,37 @@ def _payload_file(payload) -> tuple:
         ) from None
 
 
+def write_payload(path, payload) -> None:
+    """Write a map, sequence or spike tensor as its kind's container file."""
+    _, field, axes, dtype = _payload_file(payload)
+    write_tensor(path, getattr(payload, field), axes, dtype=dtype)
+
+
+def read_payload(path, *kinds):
+    """Read a container file as the first of the payload types kinds whose
+    dtype and rank it has; maps are read as normalized.
+
+    Raises:
+        InvalidInput: the file fits none of kinds, or its header is bad.
+        FileNotFoundError: path does not exist.
+    """
+    values, header = read_tensor(path)
+    for kind in kinds:
+        _, field, axes, dtype = _PAYLOAD_FILES[kind]
+        if header["dtype"] == dtype and values.ndim == len(axes):
+            extra = {"normalized": True} if kind is MicroDopplerMap else {}
+            return kind(**{field: values}, **extra)
+    wanted = " or ".join(
+        f"a {len(_PAYLOAD_FILES[k][2])}-D {_PAYLOAD_FILES[k][3]} {k.__name__}"
+        for k in kinds
+    )
+    raise InvalidInput(
+        f"{path}: expected {wanted}, got {header['dtype']} rank {values.ndim}"
+    )
+
+
 def export_dataset(
-    examples, out_dir, class_names=None, provenance=None, balanced=None
+    examples, out_dir, class_names=None, provenance=None
 ) -> DatasetManifest:
     """Write examples plus manifest.json into a directory."""
     if not examples:
@@ -115,18 +145,14 @@ def export_dataset(
         raise InvalidInput(
             f"{len(class_names)} class names for labels up to {n_classes - 1}"
         )
-    counts = [labels.count(i) for i in range(n_classes)]
-    if balanced is None:
-        balanced = len(set(counts)) == 1
+    balanced = len({labels.count(i) for i in range(n_classes)}) == 1
     os.makedirs(out_dir, exist_ok=True)
     entries = []
     for i, ex in enumerate(examples):
-        kind, field, axes, dtype = _payload_file(ex.payload)
-        if kind != pipeline:
+        if _payload_file(ex.payload)[0] != pipeline:
             raise InvalidInput("mixed payload kinds in one dataset")
         fname = f"ex{i:05d}.bin"
-        write_tensor(os.path.join(out_dir, fname), getattr(ex.payload, field), axes,
-                     dtype=dtype)
+        write_payload(os.path.join(out_dir, fname), ex.payload)
         entries.append(
             {
                 "file": fname,
@@ -140,7 +166,7 @@ def export_dataset(
         "version": 1,
         "pipeline": pipeline,
         "classes": list(class_names),
-        "balanced": bool(balanced),
+        "balanced": balanced,
         "provenance": provenance or {"kind": "unknown"},
         "examples": entries,
     }
@@ -152,7 +178,7 @@ def export_dataset(
         class_names=list(class_names),
         entries=entries,
         provenance=provenance or {"kind": "unknown"},
-        balanced=bool(balanced),
+        balanced=balanced,
     )
 
 
@@ -178,7 +204,8 @@ def read_manifest(dataset_dir) -> DatasetManifest:
     if not isinstance(entries, list) or not isinstance(classes, list) or not entries:
         raise CorruptDataset(f"manifest in {dataset_dir} lists no examples")
     for e in entries:
-        if not isinstance(e, dict) or "file" not in e or "label" not in e:
+        if (not isinstance(e, dict) or not isinstance(e.get("file"), str)
+                or "label" not in e):
             raise CorruptDataset(f"malformed example entry in {path}: {e!r}")
         for key in ("label", "segment_index"):  # JSON integers, not bools
             if type(e.get(key, 0)) is not int:
@@ -187,43 +214,16 @@ def read_manifest(dataset_dir) -> DatasetManifest:
             raise CorruptDataset(
                 f"label {e['label']} outside class list of length {len(classes)}"
             )
+    provenance = raw.get("provenance")
+    if provenance is not None and not isinstance(provenance, dict):
+        raise CorruptDataset(f"provenance {provenance!r} in {path} is not an object")
     return DatasetManifest(
         pipeline=pipeline,
         class_names=classes,
         entries=entries,
-        provenance=raw.get("provenance") or {},
+        provenance=provenance or {},
         balanced=bool(raw.get("balanced", False)),
     )
-
-
-def _payload_from_file(path, pipeline, entry):
-    try:
-        values, header = read_tensor(path)
-    except FileNotFoundError as exc:
-        raise CorruptDataset(
-            f"file {entry['file']} listed in manifest is missing"
-        ) from exc
-    who = entry.get("acquisition_id") or entry["file"]
-    if pipeline == "udoppler":
-        if header["dtype"] != "f32" or values.ndim != 2:
-            raise InvalidInput(
-                f"{who}: uDoppler payload must be a 2-D f32 map, got "
-                f"{header['dtype']} rank {values.ndim}"
-            )
-        return MicroDopplerMap(values=values.astype(np.float64), normalized=True)
-    if pipeline == "rangedoppler":
-        if values.ndim != 3:
-            raise InvalidInput(f"{who}: range-Doppler payload must be 3-D")
-        if header["dtype"] == "f32":
-            return RangeDopplerSequence(frames=values.astype(np.float64))
-        if header["dtype"] == "u1":
-            return BinaryRdSequence(frames=values)
-        raise InvalidInput(
-            f"{who}: range-Doppler payload must be f32 or u1, got {header['dtype']}"
-        )
-    if header["dtype"] != "u1" or values.ndim != 4:
-        raise InvalidInput(f"{who}: spike payload must be a 4-D u1 tensor")
-    return SpikeTensor(bits=values)
 
 
 def ingest_external(dataset_dir, t_inf: int | None = None):
@@ -231,8 +231,8 @@ def ingest_external(dataset_dir, t_inf: int | None = None):
 
     Args:
         dataset_dir: directory with manifest.json plus container files.
-        t_inf: when given and the pipeline is rangedoppler, acquisitions
-            shorter than t_inf frames are rejected (no padding semantics).
+        t_inf: when given, range-Doppler magnitude sequences shorter than
+            t_inf frames are rejected (no padding semantics).
 
     Returns:
         (examples, manifest).
@@ -242,10 +242,15 @@ def ingest_external(dataset_dir, t_inf: int | None = None):
         InvalidInput: payload shape/dtype violations, T_fr < t_inf.
     """
     manifest = read_manifest(dataset_dir)
+    kinds = [k for k, f in _PAYLOAD_FILES.items() if f[0] == manifest.pipeline]
     examples = []
     for entry in manifest.entries:
-        path = os.path.join(dataset_dir, entry["file"])
-        payload = _payload_from_file(path, manifest.pipeline, entry)
+        try:
+            payload = read_payload(os.path.join(dataset_dir, entry["file"]), *kinds)
+        except FileNotFoundError as exc:
+            raise CorruptDataset(
+                f"file {entry['file']} listed in manifest is missing"
+            ) from exc
         if (
             t_inf is not None
             and isinstance(payload, RangeDopplerSequence)

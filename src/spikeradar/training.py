@@ -398,27 +398,18 @@ def _train_fold(job: _FoldJob, fold: int):
     adam = AdamState.for_weights(m.weights)
     curve = []
 
-    for _ in range(cfg.epochs_full):
+    for epoch in range(cfg.epochs_full + cfg.epochs_qat):
         perm = shuffle_rng.permutation(train_idx)
         loss_sum = 0.0
         for batch_idx in _batches(perm, cfg.batch):
+            weights = None
+            if epoch >= cfg.epochs_full:
+                # QAT: the quantized view is rebuilt from the just-updated
+                # master before every batch, never reused stale.
+                weights = {name: dequantize(quantize(w, cfg.bits))
+                           for name, w in m.weights.items()}
             grads, loss, _ = backprop_through_time(
-                m, bits[batch_idx], labels[batch_idx]
-            )
-            adam_step(m.weights, grads, adam, lr=cfg.lr)
-            loss_sum += loss * len(batch_idx)
-        curve.append(loss_sum / len(train_idx))
-
-    for _ in range(cfg.epochs_qat):
-        perm = shuffle_rng.permutation(train_idx)
-        loss_sum = 0.0
-        for batch_idx in _batches(perm, cfg.batch):
-            # The quantized view is rebuilt from the just-updated master
-            # before every batch, never reused stale.
-            view = _quantize_all(m.weights, cfg.bits)
-            grads, loss, _ = backprop_through_time(
-                m, bits[batch_idx], labels[batch_idx],
-                weights={name: dequantize(q) for name, q in view.items()},
+                m, bits[batch_idx], labels[batch_idx], weights=weights
             )
             adam_step(m.weights, grads, adam, lr=cfg.lr)
             loss_sum += loss * len(batch_idx)

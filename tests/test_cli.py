@@ -10,8 +10,14 @@ import pytest
 from spikeradar import training
 from spikeradar.cli import main
 from spikeradar.container import read_tensor, write_tensor
-from spikeradar.data import ingest_external, read_manifest
+from spikeradar.data import (
+    LabeledExample,
+    export_dataset,
+    ingest_external,
+    read_manifest,
+)
 from spikeradar.encoding import ttfs_encode
+from spikeradar.rangedoppler import RangeDopplerSequence
 
 
 @pytest.fixture(scope="module")
@@ -229,13 +235,100 @@ def test_exit_code_missing_file(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_pipeline_mismatch_rejected(spikes_dir, tmp_path, capsys):
-    rc = main(["train", "--dataset", str(spikes_dir),
-               "--pipeline", "rangedoppler", "--tinf", "4",
-               "--epochs", "0", "--qat-epochs", "0", "--folds", "2",
-               "--out", str(tmp_path / "m.bin")])
+def test_train_takes_the_pipeline_from_the_manifest(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    examples = [
+        LabeledExample(payload=RangeDopplerSequence(frames=rng.random((6, 8, 8))),
+                       label=i % 2, acquisition_id=f"seq{i}")
+        for i in range(4)
+    ]
+    export_dataset(examples, tmp_path / "rd")
+    argv = ["train", "--dataset", str(tmp_path / "rd"), "--epochs", "0",
+            "--qat-epochs", "0", "--folds", "2", "--hidden", "8",
+            "--out", str(tmp_path / "m.bin")]
+    assert main(argv + ["--tinf", "4"]) == 0
+    # the length check on range-Doppler sequences still applies
+    assert main(argv + ["--tinf", "8"]) == 2
+    assert "seq0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command",
+                         ["infer", "encode ttfs", "dsp rangedoppler", "energy"])
+def test_exit_code_payload_of_wrong_kind(command, model_path, synth_dir,
+                                         spikes_dir, tmp_path, capsys):
+    map_file = synth_dir / "ex00000.bin"  # 2-D f32 map
+    spike_file = spikes_dir / "ex00000.bin"  # 4-D u1 spike tensor
+    bad_ds = tmp_path / "ds"  # spike dataset whose first payload is f32
+    shutil.copytree(spikes_dir, bad_ds)
+    bits, _ = read_tensor(spike_file)
+    write_tensor(bad_ds / "ex00000.bin", bits,
+                 ["time", "channel", "height", "width"], dtype="f32")
+    out = str(tmp_path / "out")
+    argv = {
+        "infer": ["infer", "--model", str(model_path), "--input", str(map_file)],
+        "encode ttfs": ["encode", "ttfs", "--input", str(spike_file), "--out", out],
+        "dsp rangedoppler": ["dsp", "rangedoppler", "--input", str(map_file),
+                             "--out", out],
+        "energy": ["energy", "--model", str(model_path), "--dataset", str(bad_ds),
+                   "--out", out],
+    }[command]
+    assert main(argv) == 2
+    assert "ex00000.bin" in capsys.readouterr().err
+
+
+@pytest.fixture()
+def cube_file(tmp_path):
+    path = tmp_path / "cube.bin"
+    samples = np.random.default_rng(0).standard_normal((192, 8))
+    write_tensor(path, samples, ["chirp", "fast_time"], dtype="f32")
+    return path
+
+
+def test_exit_code_range_bin_not_an_integer(cube_file, tmp_path, capsys):
+    rc = main(["dsp", "udoppler", "--input", str(cube_file), "--range-bin", "foo",
+               "--out", str(tmp_path / "maps")])
     assert rc == 2
-    capsys.readouterr()
+    assert "--range-bin" in capsys.readouterr().err
+
+
+def test_exit_code_zero_chirps_per_frame(cube_file, tmp_path, capsys):
+    rc = main(["dsp", "udoppler", "--input", str(cube_file),
+               "--chirps-per-frame", "0", "--out", str(tmp_path / "maps")])
+    assert rc == 2
+    assert "--chirps-per-frame" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    "{ not json",
+    '{"loss_curves": 5}',
+    '{"loss_curves": [[0.5, "x"]]}',
+    '{"loss_curves": [[0.5], 2]}',
+    '{"loss_curves": [[true]]}',
+    "[[0.5]]",
+])
+def test_exit_code_plot_bad_json(text, tmp_path, capsys):
+    src = tmp_path / "report.json"
+    src.write_text(text)
+    assert main(["plot", "--input", str(src), "--out", str(tmp_path / "p")]) == 2
+    assert "report.json" in capsys.readouterr().err
+
+
+def test_exit_code_provenance_not_an_object(synth_dir, tmp_path, capsys):
+    bad = tmp_path / "ds"
+    shutil.copytree(synth_dir, bad)
+    manifest = json.loads((bad / "manifest.json").read_text())
+    manifest["provenance"] = [1]
+    (bad / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["dataset", "info", str(bad)]) == 3
+    assert main(["encode", "ttfs", "--input", str(bad),
+                 "--out", str(tmp_path / "spikes")]) == 3
+    assert "provenance" in capsys.readouterr().err
+
+
+def test_exit_code_file_not_a_string(synth_dir, tmp_path, capsys):
+    bad = with_entry(synth_dir, tmp_path / "ds", "file", 5)
+    assert main(["dataset", "info", str(bad)]) == 3
+    assert "malformed example entry" in capsys.readouterr().err
 
 
 def test_version_flag(capsys):

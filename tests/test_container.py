@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from spikeradar.container import (
-    dtype_tag_for,
     file_digest,
     read_tensor,
     read_tensor_from,
@@ -18,7 +17,7 @@ from spikeradar.container import (
 from spikeradar.errors import InvalidInput
 
 
-def roundtrip(tmp_path, values, axes, dtype=None):
+def roundtrip(tmp_path, values, axes, dtype):
     path = os.path.join(tmp_path, "t.bin")
     write_tensor(path, values, axes, dtype=dtype)
     out, header = read_tensor(path)
@@ -28,7 +27,7 @@ def roundtrip(tmp_path, values, axes, dtype=None):
 def test_f32_roundtrip_bit_identical(tmp_path):
     rng = np.random.default_rng(11)
     values = rng.standard_normal((7, 5)).astype(np.float32)
-    out, header, _ = roundtrip(tmp_path, values, ["time", "doppler"])
+    out, header, _ = roundtrip(tmp_path, values, ["time", "doppler"], "f32")
     assert header["dtype"] == "f32"
     assert header["shape"] == [7, 5]
     assert header["axes"] == ["time", "doppler"]
@@ -43,7 +42,7 @@ def test_c64_roundtrip(tmp_path):
     rng = np.random.default_rng(12)
     values = (rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6)))
     values = values.astype(np.complex64)
-    out, header, _ = roundtrip(tmp_path, values, ["frame", "range"])
+    out, header, _ = roundtrip(tmp_path, values, ["frame", "range"], "c64")
     assert header["dtype"] == "c64"
     assert np.array_equal(out, values)
 
@@ -51,12 +50,12 @@ def test_c64_roundtrip(tmp_path):
 def test_f64_and_i8_roundtrip(tmp_path):
     rng = np.random.default_rng(13)
     w = rng.standard_normal((3, 4, 2, 2))
-    out, header, _ = roundtrip(tmp_path, w, ["o", "i", "kh", "kw"])
+    out, header, _ = roundtrip(tmp_path, w, ["o", "i", "kh", "kw"], "f64")
     assert header["dtype"] == "f64"
     assert np.array_equal(out, w)
 
     codes = rng.integers(-7, 8, size=(5, 9)).astype(np.int8)
-    out, header, _ = roundtrip(tmp_path, codes, ["row", "col"])
+    out, header, _ = roundtrip(tmp_path, codes, ["row", "col"], "i8")
     assert header["dtype"] == "i8"
     assert np.array_equal(out, codes)
 
@@ -66,7 +65,7 @@ def test_u1_bit_packing_msb_first(tmp_path):
     # the format, so check raw bytes, not just the round trip.
     bits = np.array([1, 0, 1, 1, 0, 0, 1, 0, 1], dtype=np.uint8).reshape(3, 3)
     path = os.path.join(tmp_path, "b.bin")
-    write_tensor(path, bits, ["h", "w"])
+    write_tensor(path, bits, ["h", "w"], dtype="u1")
     raw = open(path, "rb").read()
     header_line, payload = raw.split(b"\n", 1)
     header = json.loads(header_line)
@@ -81,7 +80,8 @@ def test_u1_roundtrip_random_shapes(tmp_path):
     for trial in range(20):
         shape = tuple(int(rng.integers(1, 9)) for _ in range(int(rng.integers(1, 5))))
         bits = (rng.random(shape) < 0.4).astype(np.uint8)
-        out, header, _ = roundtrip(tmp_path, bits, [f"a{i}" for i in range(len(shape))])
+        axes = [f"a{i}" for i in range(len(shape))]
+        out, header, _ = roundtrip(tmp_path, bits, axes, "u1")
         assert out.shape == shape
         assert np.array_equal(out, bits), f"trial {trial} shape {shape}"
 
@@ -96,37 +96,26 @@ def test_stream_stacking_multiple_records(tmp_path):
     """Records written back to back on one stream read back in order."""
     rng = np.random.default_rng(15)
     tensors = [
-        rng.standard_normal((3, 3)),
-        (rng.random((2, 5)) < 0.5).astype(np.uint8),
-        rng.integers(-3, 4, size=(4,)).astype(np.int8),
+        (rng.standard_normal((3, 3)), "f64"),
+        ((rng.random((2, 5)) < 0.5).astype(np.uint8), "u1"),
+        (rng.integers(-3, 4, size=(4,)).astype(np.int8), "i8"),
     ]
     buf = io.BytesIO()
-    for i, v in enumerate(tensors):
-        write_tensor_to(buf, v, [f"x{j}" for j in range(v.ndim)])
+    for v, tag in tensors:
+        write_tensor_to(buf, v, [f"x{j}" for j in range(v.ndim)], dtype=tag)
     buf.seek(0)
-    for v in tensors:
-        out, _ = read_tensor_from(buf)
+    for v, tag in tensors:
+        out, header = read_tensor_from(buf)
+        assert header["dtype"] == tag
         assert np.array_equal(out, v)
     assert buf.read() == b""
 
 
 def test_zero_size_tensor(tmp_path):
-    out, header, _ = roundtrip(tmp_path, np.zeros((0, 4), dtype=np.float32), ["t", "d"])
+    out, header, _ = roundtrip(tmp_path, np.zeros((0, 4), dtype=np.float32),
+                               ["t", "d"], "f32")
     assert header["shape"] == [0, 4]
     assert out.shape == (0, 4)
-
-
-def test_dtype_tag_for_known_and_unknown():
-    assert dtype_tag_for(np.zeros(1, dtype=np.float32)) == "f32"
-    assert dtype_tag_for(np.zeros(1, dtype=np.complex64)) == "c64"
-    assert dtype_tag_for(np.zeros(1, dtype=np.float64)) == "f64"
-    assert dtype_tag_for(np.zeros(1, dtype=np.int8)) == "i8"
-    # wide ints pass only as bit arrays
-    assert dtype_tag_for(np.array([0, 1, 1], dtype=np.int32)) == "u1"
-    with pytest.raises(InvalidInput):
-        dtype_tag_for(np.array([0, 1, 2], dtype=np.int32))
-    with pytest.raises(InvalidInput):
-        dtype_tag_for(np.zeros(1, dtype=np.uint64) + 2)
 
 
 def corrupt(path, out, mutate):
@@ -140,7 +129,7 @@ def corrupt(path, out, mutate):
 
 def test_header_validation_rejects_bad_fields(tmp_path):
     src = os.path.join(tmp_path, "ok.bin")
-    write_tensor(src, np.zeros((2, 2), dtype=np.float32), ["a", "b"])
+    write_tensor(src, np.zeros((2, 2), dtype=np.float32), ["a", "b"], dtype="f32")
 
     cases = [
         lambda h: h.update(dtype="f16"),
@@ -164,7 +153,8 @@ def test_header_validation_rejects_bad_fields(tmp_path):
 
 def test_truncated_and_trailing_payload_rejected(tmp_path):
     src = os.path.join(tmp_path, "ok.bin")
-    write_tensor(src, np.arange(6, dtype=np.float32).reshape(2, 3), ["a", "b"])
+    write_tensor(src, np.arange(6, dtype=np.float32).reshape(2, 3), ["a", "b"],
+                 dtype="f32")
     raw = open(src, "rb").read()
 
     short = os.path.join(tmp_path, "short.bin")
@@ -182,10 +172,10 @@ def test_truncated_and_trailing_payload_rejected(tmp_path):
 
 def test_file_digest_stable_and_sensitive(tmp_path):
     path = os.path.join(tmp_path, "d.bin")
-    write_tensor(path, np.ones((2, 2), dtype=np.float32), ["a", "b"])
+    write_tensor(path, np.ones((2, 2), dtype=np.float32), ["a", "b"], dtype="f32")
     d1 = file_digest(path)
     d2 = file_digest(path)
     assert d1 == d2
     assert len(d1) == 64
-    write_tensor(path, np.zeros((2, 2), dtype=np.float32), ["a", "b"])
+    write_tensor(path, np.zeros((2, 2), dtype=np.float32), ["a", "b"], dtype="f32")
     assert file_digest(path) != d1

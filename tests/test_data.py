@@ -14,9 +14,11 @@ from spikeradar.data import (
     export_dataset,
     ingest_external,
     read_manifest,
+    read_payload,
     stratified_folds,
     synth_class_names,
     synth_udoppler,
+    write_payload,
 )
 from spikeradar.encoding import SpikeTensor
 from spikeradar.errors import CorruptDataset, InvalidInput, StratificationError
@@ -100,6 +102,21 @@ def test_rangedoppler_roundtrips_both_dtypes(tmp_path):
     assert manifest2.pipeline == "rangedoppler"
     assert isinstance(back2[0].payload, BinaryRdSequence)
     assert np.array_equal(back2[0].payload.frames, binary[0].payload.frames)
+
+
+def test_read_payload_picks_the_kind_by_dtype_and_rank(tmp_path):
+    rng = np.random.default_rng(7)
+    raw = RangeDopplerSequence(frames=rng.random((5, 4, 6)))
+    binary = BinaryRdSequence(frames=(rng.random((5, 4, 6)) < 0.5).astype(np.uint8))
+    kinds = (RangeDopplerSequence, BinaryRdSequence)
+    for payload in (raw, binary):
+        write_payload(tmp_path / "seq.bin", payload)
+        got = read_payload(tmp_path / "seq.bin", *kinds)
+        assert type(got) is type(payload)
+    with pytest.raises(InvalidInput, match="seq.bin"):
+        read_payload(tmp_path / "seq.bin", SpikeTensor)
+    with pytest.raises(InvalidInput, match="seq.bin"):
+        read_payload(tmp_path / "seq.bin", RangeDopplerSequence)
 
 
 def test_short_acquisition_rejected_by_name(tmp_path):
