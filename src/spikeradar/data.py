@@ -473,6 +473,8 @@ def synth_udoppler(
         )
     if n_per_class < 1:
         raise InvalidInput("n_per_class must be >= 1")
+    if not (np.isfinite(noise_amp) and noise_amp >= 0):
+        raise InvalidInput(f"noise_amp must be finite and >= 0, got {noise_amp}")
     rng = np.random.default_rng(seed)
     examples = []
     for c in range(n_classes):

@@ -27,6 +27,7 @@ is verified against finite differences.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,63 +46,78 @@ WEIGHT_NAMES = ("conv", "fc1", "fc2")
 
 @dataclass
 class SnnModel:
-    """Weights plus the architecture's sizes.
+    """The network is its weight tensors.
 
     weights maps "conv" -> (C_out, C_in, kh, kw), "fc1" -> (hidden, flat),
-    "fc2" -> (n_classes, hidden), all float64, no biases anywhere.
-    quantized, when set, holds the integer deployment view of each tensor.
+    "fc2" -> (n_classes, hidden), all float64, no biases anywhere; the
+    layer sizes are read off those shapes. quantized, when set, holds the
+    integer deployment view of each tensor.
     """
 
     weights: dict
     t_inf: int
     input_shape: tuple[int, int, int]
-    n_classes: int
-    hidden: int
-    conv_channels: int
-    kernel: tuple[int, int]
     quantized: dict | None = None
     provenance: dict | None = None
 
     def __post_init__(self):
         if self.t_inf < 1:
             raise InvalidInput("t_inf must be >= 1")
-        shapes = expected_weight_shapes(
-            self.input_shape, self.n_classes, self.conv_channels, self.kernel,
-            self.hidden,
-        )
-        for name in WEIGHT_NAMES:
+        for name, rank in zip(WEIGHT_NAMES, (4, 2, 2)):
             if name not in self.weights:
                 raise InvalidInput(f"missing weight tensor {name!r}")
-            got = self.weights[name].shape
-            if got != shapes[name]:
+            shape = self.weights[name].shape
+            if len(shape) != rank or 0 in shape:
                 raise InvalidInput(
-                    f"weight {name!r} has shape {got}, expected {shapes[name]}"
+                    f"weight {name!r} has shape {shape}, expected {rank} sizes >= 1"
                 )
+        ph, pw = _pooled_size(self.input_shape, self.kernel)
+        expected = {
+            "conv": (self.conv_channels, self.input_shape[0]) + self.kernel,
+            "fc1": (self.hidden, self.conv_channels * ph * pw),
+            "fc2": (self.n_classes, self.hidden),
+        }
+        for name, want in expected.items():
+            got = self.weights[name].shape
+            if got != want:
+                raise InvalidInput(f"weight {name!r} has shape {got}, expected {want}")
+            if self.quantized and self.quantized[name].codes.shape != want:
+                raise InvalidInput(f"quantized {name!r} has shape "
+                                   f"{self.quantized[name].codes.shape}, expected {want}")
+
+    @property
+    def n_classes(self) -> int:
+        return self.weights["fc2"].shape[0]
+
+    @property
+    def hidden(self) -> int:
+        return self.weights["fc1"].shape[0]
+
+    @property
+    def conv_channels(self) -> int:
+        return self.weights["conv"].shape[0]
+
+    @property
+    def kernel(self) -> tuple[int, int]:
+        return self.weights["conv"].shape[2:]
 
     def shape_after_conv(self) -> tuple[int, int, int]:
         _, h, w = self.input_shape
         kh, kw = self.kernel
         return (self.conv_channels, h - kh + 1, w - kw + 1)
 
-    def flat_features(self) -> int:
-        c, h, w = self.shape_after_conv()
-        return c * (h // 2) * (w // 2)
 
-
-def expected_weight_shapes(input_shape, n_classes, conv_channels, kernel, hidden):
-    c_in, h, w = input_shape
+def _pooled_size(input_shape, kernel) -> tuple[int, int]:
+    """(PH, PW) of the pooled conv output; InvalidInput when the conv leaves
+    less than one 2x2 pool window."""
+    _, h, w = input_shape
     kh, kw = kernel
     oh, ow = h - kh + 1, w - kw + 1
     if oh < 2 or ow < 2:
         raise InvalidInput(
             f"input {h}x{w} too small for {kh}x{kw} conv followed by 2x2 pool"
         )
-    flat = conv_channels * (oh // 2) * (ow // 2)
-    return {
-        "conv": (conv_channels, c_in, kh, kw),
-        "fc1": (hidden, flat),
-        "fc2": (n_classes, hidden),
-    }
+    return oh // 2, ow // 2
 
 
 def init_model(
@@ -113,29 +129,31 @@ def init_model(
     conv_channels: int = 12,
     kernel: tuple[int, int] = (5, 5),
 ) -> SnnModel:
-    """Fresh model with Glorot-uniform weights, +-sqrt(6/(fan_in+fan_out))."""
-    shapes = expected_weight_shapes(input_shape, n_classes, conv_channels, kernel, hidden)
-    rng = np.random.default_rng(seed)
+    """Fresh model with Glorot-uniform weights: a tensor of shape
+    (out, in, *k) is drawn from +-sqrt(6/(fan_in+fan_out)), with
+    fan_in = in*prod(k) and fan_out = out*prod(k)."""
+    c_in, _, _ = input_shape
     kh, kw = kernel
-    fans = {
-        "conv": (input_shape[0] * kh * kw, conv_channels * kh * kw),
-        "fc1": (shapes["fc1"][1], shapes["fc1"][0]),
-        "fc2": (shapes["fc2"][1], shapes["fc2"][0]),
+    sizes = {"n_classes": n_classes, "hidden": hidden, "conv_channels": conv_channels,
+             "input channels": c_in, "kernel height": kh, "kernel width": kw}
+    for name, size in sizes.items():
+        if size < 1:
+            raise InvalidInput(f"{name} must be >= 1, got {size}")
+    ph, pw = _pooled_size(input_shape, kernel)
+    shapes = {
+        "conv": (conv_channels, c_in, kh, kw),
+        "fc1": (hidden, conv_channels * ph * pw),
+        "fc2": (n_classes, hidden),
     }
+    rng = np.random.default_rng(seed)
     weights = {}
     for name in WEIGHT_NAMES:
-        fan_in, fan_out = fans[name]
+        shape = shapes[name]
+        receptive = math.prod(shape[2:])
+        fan_in, fan_out = shape[1] * receptive, shape[0] * receptive
         lim = np.sqrt(6.0 / (fan_in + fan_out))
-        weights[name] = rng.uniform(-lim, lim, size=shapes[name])
-    return SnnModel(
-        weights=weights,
-        t_inf=t_inf,
-        input_shape=tuple(input_shape),
-        n_classes=n_classes,
-        hidden=hidden,
-        conv_channels=conv_channels,
-        kernel=tuple(kernel),
-    )
+        weights[name] = rng.uniform(-lim, lim, size=shape)
+    return SnnModel(weights=weights, t_inf=t_inf, input_shape=tuple(input_shape))
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +233,6 @@ def _maxpool_route(x: np.ndarray, want_route: bool = True):
     passes that will never backpropagate skip the routing computation.
     """
     h, w = x.shape[-2], x.shape[-1]
-    if h < 2 or w < 2:
-        raise InvalidInput(f"spatial dims {h}x{w} smaller than 2x2 pool window")
     q0 = x[..., 0 : (h // 2) * 2 : 2, 0 : (w // 2) * 2 : 2]
     q1 = x[..., 0 : (h // 2) * 2 : 2, 1 : (w // 2) * 2 : 2]
     q2 = x[..., 1 : (h // 2) * 2 : 2, 0 : (w // 2) * 2 : 2]
@@ -310,7 +326,6 @@ def forward_batch(
     use_quantized: bool = False,
     mode: str = "hard",
     want_tape: bool = False,
-    weights: dict | None = None,
 ) -> BatchForward:
     """Run the network over a batch of spike tensors.
 
@@ -320,8 +335,6 @@ def forward_batch(
         mode: "hard" (production spiking dynamics) or "relaxed" (smooth
             spike, no reset/clamp; float weights only; for gradient checks).
         want_tape: retain per-step state for the backward pass.
-        weights: float weights to run instead of the model's, firing at
-            THRESHOLD (the trainer passes its current view explicitly).
 
     Returns:
         BatchForward; probs has shape (B, n_classes). IF states start at 0
@@ -329,25 +342,17 @@ def forward_batch(
         the batch runs INFER_CHUNK examples at a time.
     """
     bits = np.asarray(bits)
-    if bits.ndim != 5:
-        raise InvalidInput("batch must be 5-D (batch, time, channel, h, w)")
+    want = (model.t_inf, *model.input_shape)
+    if bits.ndim != 5 or bits.shape[1:] != want:
+        raise InvalidInput(
+            f"input batch has shape {bits.shape}; the model takes (batch, time, "
+            f"channel, h, w) = (batch, {', '.join(map(str, want))})")
     b = bits.shape[0]
-    if bits.shape[1] != model.t_inf:
-        raise InvalidInput(
-            f"input has {bits.shape[1]} steps, model expects {model.t_inf}"
-        )
-    if tuple(bits.shape[2:]) != tuple(model.input_shape):
-        raise InvalidInput(
-            f"input spatial shape {bits.shape[2:]} does not match model "
-            f"input {model.input_shape}"
-        )
     if mode not in ("hard", "relaxed"):
         raise InvalidInput(f"unknown forward mode {mode!r}")
     if mode == "relaxed" and use_quantized:
         raise InvalidInput("the quantized view runs in hard mode only")
-    thresholds = (THRESHOLD,) * len(WEIGHT_NAMES)
-    if weights is None:
-        weights, thresholds = resolve_weights(model, use_quantized)
+    weights, thresholds = resolve_weights(model, use_quantized)
 
     acc = np.zeros((b, model.n_classes))
     counts = np.zeros((len(_COUNT_NAMES), b), dtype=np.int64)
@@ -373,7 +378,7 @@ def _forward_chunk(model, bits, weights, thresholds, hard, want_tape,
     b = bits.shape[0]
     c1, oh, ow = model.shape_after_conv()
     ph, pw = oh // 2, ow // 2
-    flat_n = model.flat_features()
+    flat_n = c1 * ph * pw
     t = model.t_inf
     spike_dtype = np.uint8 if hard else np.float64
 
@@ -489,6 +494,13 @@ _AXES = {
 }
 
 
+def _manifest_sizes(model: SnnModel) -> dict:
+    """The layer sizes a model file's manifest states, read off the tensors,
+    as JSON values."""
+    return {"n_classes": model.n_classes, "hidden": model.hidden,
+            "conv_channels": model.conv_channels, "kernel": list(model.kernel)}
+
+
 def save_model(model: SnnModel, path) -> None:
     """Write a model file: JSON manifest line, then one container-format
     record per weight tensor (float64), then quantized code records (int8)
@@ -498,14 +510,11 @@ def save_model(model: SnnModel, path) -> None:
         "version": 1,
         "t_inf": model.t_inf,
         "input_shape": list(model.input_shape),
-        "n_classes": model.n_classes,
-        "hidden": model.hidden,
-        "conv_channels": model.conv_channels,
-        "kernel": list(model.kernel),
         "fire_mode": _FIRE_MODE,
         "tensors": list(WEIGHT_NAMES),
         "quantization": None,
         "provenance": model.provenance,
+        **_manifest_sizes(model),
     }
     if model.quantized:
         manifest["quantization"] = {
@@ -593,14 +602,13 @@ def load_model(path) -> SnnModel:
                 )
         if f.read(1):
             raise InvalidInput(f"{path}: trailing bytes after model payload")
-    return SnnModel(
-        weights=weights,
-        t_inf=manifest["t_inf"],
-        input_shape=tuple(manifest["input_shape"]),
-        n_classes=manifest["n_classes"],
-        hidden=manifest["hidden"],
-        conv_channels=manifest["conv_channels"],
-        kernel=tuple(manifest["kernel"]),
-        quantized=quantized,
-        provenance=manifest.get("provenance"),
-    )
+    model = SnnModel(weights=weights, t_inf=manifest["t_inf"],
+                     input_shape=tuple(manifest["input_shape"]),
+                     quantized=quantized, provenance=manifest.get("provenance"))
+    for key, actual in _manifest_sizes(model).items():
+        if manifest[key] != actual:
+            raise InvalidInput(
+                f"{path}: model field {key!r} is {manifest[key]}, "
+                f"its tensors give {actual}"
+            )
+    return model

@@ -19,7 +19,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -154,28 +154,26 @@ def backprop_through_time(
     bits: np.ndarray,
     labels: np.ndarray,
     mode: str = "hard",
-    weights: dict | None = None,
 ):
     """Gradients of the mean cross-entropy on softmax(A) for one batch.
 
     The forward, and the linear-map Jacobians of the backward, which must
-    match the forward graph, run on weights, the master weights by default.
-    The QAT epochs pass the dequantized view, and the returned gradients
-    apply to the master weights all the same (straight-through estimator
-    for the quantizer).
+    match the forward graph, run on model.weights. The QAT epochs hand in a
+    copy of the model whose weights are the dequantized view, and apply the
+    returned gradients to the master weights all the same (straight-through
+    estimator for the quantizer).
 
     Returns:
         (grads, loss, probs) with grads keyed like model.weights.
     """
     bits = np.asarray(bits)
     labels = _check_labels(labels, bits.shape[0], model.n_classes)
-    weights = model.weights if weights is None else weights
-    out = forward_batch(model, bits, mode=mode, want_tape=True, weights=weights)
+    out = forward_batch(model, bits, mode=mode, want_tape=True)
     tape = out.tape
     b = bits.shape[0]
     t = model.t_inf
     relaxed = mode == "relaxed"
-    w_fc1, w_fc2 = weights["fc1"], weights["fc2"]
+    w_fc1, w_fc2 = model.weights["fc1"], model.weights["fc2"]
 
     loss = cross_entropy(out.probs, labels)
     g_acc = out.probs.copy()
@@ -298,9 +296,6 @@ class TrainConfig:
         if not (2 <= self.bits <= 8):
             raise InvalidInput(f"bits must be in [2, 8], got {self.bits}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class FoldReport:
@@ -339,27 +334,6 @@ class FoldReport:
             sort_keys=True,
         )
 
-    @staticmethod
-    def from_json(text: str) -> "FoldReport":
-        d = json.loads(text)
-        return FoldReport(
-            fold_accuracies=d["fold_accuracies"],
-            confusion=np.asarray(d["confusion"], dtype=np.int64),
-            loss_curves=d["loss_curves"],
-            n_classes=d["n_classes"],
-            bits=d["bits"],
-            seed=d["seed"],
-        )
-
-
-def _batches(indices: np.ndarray, batch: int):
-    for i in range(0, len(indices), batch):
-        yield indices[i : i + batch]
-
-
-def _quantize_all(weights: dict, bits: int) -> dict:
-    return {name: quantize(w, bits) for name, w in weights.items()}
-
 
 @dataclass(frozen=True)
 class _FoldJob:
@@ -385,15 +359,9 @@ def _train_fold(job: _FoldJob, fold: int):
     train_idx = np.flatnonzero(~val_mask)
     val_idx = np.flatnonzero(val_mask)
 
-    m = init_model(
-        input_shape=model.input_shape,
-        n_classes=model.n_classes,
-        t_inf=model.t_inf,
-        seed=[cfg.seed, fold, 0],
-        hidden=model.hidden,
-        conv_channels=model.conv_channels,
-        kernel=model.kernel,
-    )
+    m = init_model(input_shape=model.input_shape, n_classes=model.n_classes,
+                   t_inf=model.t_inf, seed=[cfg.seed, fold, 0], hidden=model.hidden,
+                   conv_channels=model.conv_channels, kernel=model.kernel)
     shuffle_rng = np.random.default_rng([cfg.seed, fold, 1])
     adam = AdamState.for_weights(m.weights)
     curve = []
@@ -401,21 +369,22 @@ def _train_fold(job: _FoldJob, fold: int):
     for epoch in range(cfg.epochs_full + cfg.epochs_qat):
         perm = shuffle_rng.permutation(train_idx)
         loss_sum = 0.0
-        for batch_idx in _batches(perm, cfg.batch):
-            weights = None
+        for i in range(0, len(perm), cfg.batch):
+            batch_idx = perm[i : i + cfg.batch]
+            view = m
             if epoch >= cfg.epochs_full:
                 # QAT: the quantized view is rebuilt from the just-updated
                 # master before every batch, never reused stale.
-                weights = {name: dequantize(quantize(w, cfg.bits))
-                           for name, w in m.weights.items()}
-            grads, loss, _ = backprop_through_time(
-                m, bits[batch_idx], labels[batch_idx], weights=weights
-            )
+                view = replace(m, weights={
+                    name: dequantize(quantize(w, cfg.bits))
+                    for name, w in m.weights.items()})
+            grads, loss, _ = backprop_through_time(view, bits[batch_idx],
+                                                   labels[batch_idx])
             adam_step(m.weights, grads, adam, lr=cfg.lr)
             loss_sum += loss * len(batch_idx)
         curve.append(loss_sum / len(train_idx))
 
-    m.quantized = _quantize_all(m.weights, cfg.bits)
+    m.quantized = {name: quantize(w, cfg.bits) for name, w in m.weights.items()}
     val_labels = labels[val_idx]
     preds = forward_batch(m, bits[val_idx], use_quantized=True).probs.argmax(axis=1)
     confusion = np.zeros((m.n_classes, m.n_classes), dtype=np.int64)
@@ -563,7 +532,7 @@ def train(model: SnnModel, dataset, cfg: TrainConfig):
                 m.provenance = {
                     "trained_on": "fold-cv",
                     "fold": fold,
-                    "config": cfg.to_dict(),
+                    "config": asdict(cfg),
                     "n_examples": int(bits.shape[0]),
                 }
                 best = (acc, m)

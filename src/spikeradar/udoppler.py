@@ -323,9 +323,10 @@ def normalize_and_denoise(
     s = m.values.shape[1]
     j_lo, j_hi = band_column_range(s, band[0], band[1])
     n_retained = j_hi - j_lo + 1
-    if top_k > n_retained:
+    if not 1 <= top_k <= n_retained:
         raise InvalidInput(
-            f"top_k {top_k} exceeds retained Doppler bin count {n_retained}"
+            f"top_k must be in [1, {n_retained}] (the retained Doppler bins), "
+            f"got {top_k}"
         )
     vmin = m.values.min()
     vmax = m.values.max()

@@ -44,9 +44,9 @@ def unpool(grad_pooled, route, spatial):
     return out
 
 
-def dense_forward(model, bits, mode, weights):
+def dense_forward(model, bits, mode):
     """Forward pass keeping every step's full state; returns (probs, tape)."""
-    w_conv, w_fc1, w_fc2 = (weights[n] for n in WEIGHT_NAMES)
+    w_conv, w_fc1, w_fc2 = (model.weights[n] for n in WEIGHT_NAMES)
     b, t = bits.shape[:2]
     c1, oh, ow = model.shape_after_conv()
     kh, kw = model.kernel
@@ -100,12 +100,12 @@ def layer_backward(g_spikes, v_pre, spikes, relaxed):
     return g_drive
 
 
-def dense_bptt(model, bits, labels, mode="hard", weights=None):
+def dense_bptt(model, bits, labels, mode="hard"):
     """(grads, loss, probs) for one batch, as backprop_through_time returns."""
     bits = np.asarray(bits)
     labels = np.asarray(labels, dtype=np.int64)
-    weights = model.weights if weights is None else weights
-    probs, tape = dense_forward(model, bits, mode, weights)
+    weights = model.weights
+    probs, tape = dense_forward(model, bits, mode)
     b, t = bits.shape[:2]
     relaxed = mode == "relaxed"
     c1, oh, ow = model.shape_after_conv()

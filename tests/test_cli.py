@@ -228,6 +228,16 @@ def test_exit_code_training_error_in_worker(synth_dir, tmp_path, monkeypatch,
     assert "non-finite gradient" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("hidden", ["0", "-1"])
+def test_exit_code_empty_hidden_layer(hidden, synth_dir, tmp_path, capsys):
+    rc = main(["train", "--dataset", str(synth_dir), "--tinf", "4",
+               "--epochs", "0", "--qat-epochs", "0", "--folds", "2",
+               "--hidden", hidden, "--out", str(tmp_path / "model.bin")])
+    assert rc == 2
+    assert f"hidden must be >= 1, got {hidden}" in capsys.readouterr().err
+    assert not (tmp_path / "model.bin").exists()
+
+
 def test_exit_code_missing_file(tmp_path, capsys):
     rc = main(["infer", "--model", str(tmp_path / "no_model.bin"),
                "--input", str(tmp_path / "no_tensor.bin")])
@@ -296,6 +306,24 @@ def test_exit_code_zero_chirps_per_frame(cube_file, tmp_path, capsys):
                "--chirps-per-frame", "0", "--out", str(tmp_path / "maps")])
     assert rc == 2
     assert "--chirps-per-frame" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--noise", "nan"), ("--noise", "inf"), ("--noise", "-1"),
+    ("--topk", "0"), ("--topk", "-1"),
+])
+def test_exit_code_bad_value(flag, value, tmp_path, capsys):
+    if flag == "--noise":
+        argv = ["synth", "--per-class", "1", "--noise", value]
+    else:
+        # four frames of 192 chirps: long enough for one untrimmed segment
+        cube = tmp_path / "cube.bin"
+        samples = np.random.default_rng(0).standard_normal((4 * 192, 8))
+        write_tensor(cube, samples, ["chirp", "fast_time"], dtype="f32")
+        argv = ["dsp", "udoppler", "--input", str(cube), "--trim", "0",
+                "--topk", value]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert f"got {value}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text", [

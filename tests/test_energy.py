@@ -18,15 +18,7 @@ from spikeradar.snn import SnnModel, forward_batch
 
 
 def tiny_model(weights, meta, t_inf, shape=(1, 8, 8), n_classes=3, hidden=7):
-    return SnnModel(
-        weights=weights,
-        t_inf=t_inf,
-        input_shape=shape,
-        n_classes=n_classes,
-        hidden=hidden,
-        conv_channels=meta["c1"],
-        kernel=meta["kernel"],
-    )
+    return SnnModel(weights=weights, t_inf=t_inf, input_shape=shape)
 
 
 def sig4(x):

@@ -26,15 +26,7 @@ from spikeradar.snn import (
 )
 
 def tiny_model(weights, meta, t_inf, shape, n_classes, hidden):
-    return SnnModel(
-        weights=weights,
-        t_inf=t_inf,
-        input_shape=shape,
-        n_classes=n_classes,
-        hidden=hidden,
-        conv_channels=meta["c1"],
-        kernel=meta["kernel"],
-    )
+    return SnnModel(weights=weights, t_inf=t_inf, input_shape=shape)
 
 
 # ── single-neuron dynamics ──────────────────────────────────────────────────
@@ -328,9 +320,19 @@ def test_init_model_shapes_and_determinism():
     assert not np.array_equal(m.weights["conv"], m3.weights["conv"])
 
 
+@pytest.mark.parametrize("sizes", [
+    dict(hidden=0), dict(n_classes=0), dict(conv_channels=-1),
+    dict(kernel=(0, 5)), dict(input_shape=(0, 8, 8)), dict(input_shape=(1, 5, 8)),
+])
+def test_init_model_rejects_empty_layers(sizes):
+    args = dict(input_shape=(1, 8, 8), n_classes=2, t_inf=2) | sizes
+    with pytest.raises(InvalidInput):
+        init_model(**args)
+
+
 def test_glorot_bounds():
     m = init_model(input_shape=(1, 20, 20), n_classes=4, t_inf=4, seed=7)
-    flat = m.flat_features()
+    flat = 12 * 8 * 8  # 16x16 conv output, pooled to 8x8
     limits = {
         "conv": np.sqrt(6.0 / (1 * 25 + 12 * 25)),
         "fc1": np.sqrt(6.0 / (flat + 128)),
@@ -402,14 +404,29 @@ def test_load_rejects_malformed_manifest(tmp_path):
         without("hidden"),
         dict(manifest, tensors=["conv", "fc1"]),
         dict(manifest, hidden="16"),
+        dict(manifest, hidden=manifest["hidden"] + 1),
         dict(manifest, kernel=[3]),
         dict(manifest, quantization={"bits": 4}),
         [1, 2],
     ]
-    for i, bad in enumerate(cases):
+    files = [json.dumps(bad).encode() + b"\n" + payload for bad in cases]
+    # fc2's codes with 3 columns where its weight has 128
+    m.quantized["fc2"] = QuantizedTensor(codes=np.ones((2, 3), dtype=np.int8),
+                                         scale=0.1, bits=4)
+    save_model(m, good)
+    with open(good, "rb") as f:
+        files.append(f.read())
+    # an empty hidden layer, with the manifest stating hidden 0
+    m.quantized = None
+    m.weights = dict(m.weights, fc1=np.zeros((0, m.weights["fc1"].shape[1])),
+                     fc2=np.zeros((2, 0)))
+    save_model(m, good)
+    with open(good, "rb") as f:
+        files.append(f.read())
+    for i, content in enumerate(files):
         path = os.path.join(tmp_path, f"bad{i}.bin")
         with open(path, "wb") as f:
-            f.write(json.dumps(bad).encode() + b"\n" + payload)
+            f.write(content)
         with pytest.raises(InvalidInput):
             load_model(path)
 
