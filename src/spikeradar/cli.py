@@ -314,6 +314,8 @@ def _cmd_plot(args):
         written = [path]
     else:
         values, header = read_tensor(args.input)
+        if values.size == 0 or np.iscomplexobj(values) or not np.isfinite(values).all():
+            raise InvalidInput(f"{args.input}: nothing to plot: empty, complex or non-finite")
         if header["dtype"] == "f32" and values.ndim == 2:
             top = values.max()
             scaled = values / top if top > 1.0 else values
@@ -440,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(argv=None) -> int:
+def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     logging.basicConfig(
@@ -458,10 +460,6 @@ def run(argv=None) -> int:
     except (SpikeRadarError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def main(argv=None) -> int:
-    return run(argv)
 
 
 if __name__ == "__main__":

@@ -130,9 +130,7 @@ def read_payload(path, *kinds):
     )
 
 
-def export_dataset(
-    examples, out_dir, class_names=None, provenance=None
-) -> DatasetManifest:
+def export_dataset(examples, out_dir, class_names=None, provenance=None) -> None:
     """Write examples plus manifest.json into a directory."""
     if not examples:
         raise InvalidInput("cannot export an empty dataset")
@@ -173,13 +171,6 @@ def export_dataset(
     with open(os.path.join(out_dir, MANIFEST_NAME), "w", encoding="utf-8") as f:
         json.dump(manifest, f, sort_keys=True, indent=1)
         f.write("\n")
-    return DatasetManifest(
-        pipeline=pipeline,
-        class_names=list(class_names),
-        entries=entries,
-        provenance=provenance or {"kind": "unknown"},
-        balanced=balanced,
-    )
 
 
 def read_manifest(dataset_dir) -> DatasetManifest:
@@ -192,7 +183,7 @@ def read_manifest(dataset_dir) -> DatasetManifest:
     try:
         with open(path, encoding="utf-8") as f:
             raw = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
         raise CorruptDataset(f"unreadable manifest in {dataset_dir}: {exc}") from exc
     if not isinstance(raw, dict) or raw.get("format") != _MANIFEST_FORMAT:
         raise CorruptDataset(f"{path} is not a dataset manifest")
@@ -401,8 +392,13 @@ _CLASS_PARAMS = (
 )
 
 
-def _synth_map(params, rng, noise_amp, shape, top_k) -> np.ndarray:
-    rows, cols = shape
+# The protocol's map: 48 time rows by 100 retained Doppler bins, top 48 per row
+_SYNTH_SHAPE = (48, 100)
+_SYNTH_TOP_K = 48
+
+
+def _synth_map(params, rng, noise_amp) -> np.ndarray:
+    rows, cols = _SYNTH_SHAPE
     u = (np.arange(rows) + 0.5) / rows
     col_axis = np.arange(cols, dtype=np.float64)
     center = (cols - 1) / 2.0 + rng.uniform(-3.0, 3.0)
@@ -435,7 +431,7 @@ def _synth_map(params, rng, noise_amp, shape, top_k) -> np.ndarray:
     raw = np.maximum(ridge, noise)
     lo, hi = raw.min(), raw.max()
     norm = (raw - lo) / (hi - lo)
-    return keep_top_k_rows(norm, top_k)
+    return keep_top_k_rows(norm, _SYNTH_TOP_K)
 
 
 def synth_class_names(n_classes: int):
@@ -447,15 +443,13 @@ def synth_udoppler(
     n_classes: int = 5,
     seed: int = 0,
     noise_amp: float = 0.4,
-    shape: tuple[int, int] = (48, 100),
-    top_k: int = 48,
 ):
     """Synthetic uDoppler dataset: class-specific sinusoidal Doppler tracks.
 
-    Each map is a bright ridge along a class-dependent oscillating track
-    (slow, fast, narrow, chirped, or burst-gated) over uniform noise,
-    max-blended, min-max normalized, and per-row top-k thresholded just as
-    the real pipeline output would be. Per-example jitter: track center,
+    Each map is the protocol's 48 x 100 segment: a bright ridge along a
+    class-dependent oscillating track (slow, fast, narrow, chirped, or
+    burst-gated) over uniform noise, max-blended, min-max normalized, and
+    per-row top-48 thresholded just as the real pipeline output would be. Per-example jitter: track center,
     phase, amplitude, ridge width.
 
     All randomness comes from one seeded PCG64 stream and all template
@@ -479,7 +473,7 @@ def synth_udoppler(
     examples = []
     for c in range(n_classes):
         for i in range(n_per_class):
-            values = _synth_map(_CLASS_PARAMS[c], rng, noise_amp, shape, top_k)
+            values = _synth_map(_CLASS_PARAMS[c], rng, noise_amp)
             examples.append(
                 LabeledExample(
                     payload=MicroDopplerMap(values=values, normalized=True),

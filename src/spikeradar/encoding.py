@@ -37,10 +37,6 @@ class SpikeTensor:
     def t_inf(self) -> int:
         return self.bits.shape[0]
 
-    @property
-    def spatial_shape(self) -> tuple[int, int, int]:
-        return self.bits.shape[1:]
-
     def total_spikes(self) -> int:
         return int(self.bits.sum())
 

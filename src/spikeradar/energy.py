@@ -48,7 +48,7 @@ class HardwareProfile:
         return self.delta_t * self.p_stat
 
 
-def energy_per_classification(n_spikes: int, hw: HardwareProfile) -> float:
+def energy_per_classification(n_spikes: float, hw: HardwareProfile) -> float:
     """E_c = n_spikes * e_dyn + delta_t * p_stat, in joules."""
     if n_spikes < 0:
         raise InvalidInput(f"n_spikes must be >= 0, got {n_spikes}")
@@ -86,27 +86,20 @@ class EnergyReport:
 
 def report_for_dataset(
     model: SnnModel,
-    tensors,
+    bits: np.ndarray,
     hw: HardwareProfile,
     use_quantized: bool = True,
     include_input_spikes: bool = True,
 ) -> EnergyReport:
-    """Energy report over a list of SpikeTensors (or a stacked bit array).
+    """Energy report over a stacked (N, T, C, H, W) spike batch.
 
-    Runs the quantized forward on every tensor, aggregates the max and mean
+    Runs the quantized forward on every example, aggregates the max and mean
     spike count (max as the upper-bound operating point), and converts both
     through energy_per_classification. An example's count is its spikes of
     all three IF layers, plus its input spikes when include_input_spikes;
     pooling passes spikes through and emits nothing of its own.
     """
-    if isinstance(tensors, np.ndarray):
-        bits = tensors
-    else:
-        tensors = list(tensors)
-        if not tensors:
-            raise InvalidInput("empty tensor list")
-        bits = np.stack([t.bits for t in tensors])
-    if bits.ndim != 5 or bits.shape[0] == 0:
+    if not isinstance(bits, np.ndarray) or bits.ndim != 5 or bits.shape[0] == 0:
         raise InvalidInput("expected a non-empty (N, T, C, H, W) spike batch")
     counts = forward_batch(model, bits, use_quantized=use_quantized).spike_counts
     totals = counts["sigma1"] + counts["sigma2"] + counts["sigma3"]
@@ -118,7 +111,7 @@ def report_for_dataset(
         n_spikes_max=n_max,
         n_spikes_mean=n_mean,
         e_c_max=energy_per_classification(n_max, hw),
-        e_c_mean=n_mean * hw.e_dyn + hw.static_floor,
+        e_c_mean=energy_per_classification(n_mean, hw),
         static_floor=hw.static_floor,
         n_examples=int(bits.shape[0]),
         include_input_spikes=include_input_spikes,

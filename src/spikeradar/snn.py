@@ -538,77 +538,79 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _check_manifest(manifest, path) -> None:
+def _check_manifest(manifest) -> None:
     """Raise InvalidInput unless manifest holds every field load_model reads,
     each of the type save_model writes."""
     if not isinstance(manifest, dict) or manifest.get("format") != _MODEL_FORMAT:
-        raise InvalidInput(f"{path}: not a model file")
+        raise InvalidInput("not a model file")
     required = ("tensors", "input_shape", "kernel", "fire_mode") + _MANIFEST_INTS
     missing = [key for key in required if key not in manifest]
     if missing:
-        raise InvalidInput(f"{path}: model manifest lacks {', '.join(missing)}")
+        raise InvalidInput(f"model manifest lacks {', '.join(missing)}")
     if manifest["tensors"] != list(WEIGHT_NAMES):
-        raise InvalidInput(f"{path}: model tensors must be {list(WEIGHT_NAMES)}")
+        raise InvalidInput(f"model tensors must be {list(WEIGHT_NAMES)}")
     for key in _MANIFEST_INTS:
         if not _is_int(manifest[key]):
-            raise InvalidInput(f"{path}: model field {key!r} must be an integer")
+            raise InvalidInput(f"model field {key!r} must be an integer")
     for key, rank in (("input_shape", 3), ("kernel", 2)):
         value = manifest[key]
         if not (isinstance(value, list) and len(value) == rank
                 and all(_is_int(n) for n in value)):
-            raise InvalidInput(f"{path}: model field {key!r} must be {rank} integers")
+            raise InvalidInput(f"model field {key!r} must be {rank} integers")
     if manifest["fire_mode"] != _FIRE_MODE:
-        raise InvalidInput(f"{path}: fire_mode must be {_FIRE_MODE!r}")
+        raise InvalidInput(f"fire_mode must be {_FIRE_MODE!r}")
     qmeta = manifest.get("quantization")
     if qmeta:
         scales = qmeta.get("scales") if isinstance(qmeta, dict) else None
         if not (isinstance(scales, dict) and _is_int(qmeta.get("bits"))
                 and all(isinstance(scales.get(n), float) or _is_int(scales.get(n))
                         for n in WEIGHT_NAMES)):
-            raise InvalidInput(f"{path}: malformed quantization in model manifest")
+            raise InvalidInput("malformed quantization in model manifest")
 
 
 def load_model(path) -> SnnModel:
-    """Read a model file written by save_model.
+    """Read a model file written by save_model; every InvalidInput names path.
 
     Manifest keys that save_model does not write, such as the "layers" list
     of files from earlier versions, are ignored.
     """
-    with open(path, "rb") as f:
-        line = f.readline(1 << 20)
-        if not line.endswith(b"\n"):
-            raise InvalidInput(f"{path}: model manifest line missing")
-        try:
-            manifest = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise InvalidInput(f"{path}: model manifest is not valid JSON") from exc
-        _check_manifest(manifest, path)
-        weights = {}
-        for name in manifest["tensors"]:
-            values, header = read_tensor_from(f)
-            if header["dtype"] != "f64":
-                raise InvalidInput(f"{path}: weight {name!r} is not f64")
-            weights[name] = values
-        quantized = None
-        qmeta = manifest.get("quantization")
-        if qmeta:
-            quantized = {}
+    try:
+        with open(path, "rb") as f:
+            line = f.readline(1 << 20)
+            if not line.endswith(b"\n"):
+                raise InvalidInput("model manifest line missing")
+            try:
+                manifest = json.loads(line.decode("utf-8"))
+            except ValueError as exc:  # not UTF-8 or not JSON
+                raise InvalidInput("model manifest is not valid JSON") from exc
+            _check_manifest(manifest)
+            weights = {}
             for name in manifest["tensors"]:
-                codes, header = read_tensor_from(f)
-                if header["dtype"] != "i8":
-                    raise InvalidInput(f"{path}: codes for {name!r} are not i8")
-                quantized[name] = QuantizedTensor(
-                    codes=codes, scale=qmeta["scales"][name], bits=qmeta["bits"]
+                values, header = read_tensor_from(f)
+                if header["dtype"] != "f64":
+                    raise InvalidInput(f"weight {name!r} is not f64")
+                weights[name] = values
+            quantized = None
+            qmeta = manifest.get("quantization")
+            if qmeta:
+                quantized = {}
+                for name in manifest["tensors"]:
+                    codes, header = read_tensor_from(f)
+                    if header["dtype"] != "i8":
+                        raise InvalidInput(f"codes for {name!r} are not i8")
+                    quantized[name] = QuantizedTensor(
+                        codes=codes, scale=qmeta["scales"][name], bits=qmeta["bits"]
+                    )
+            if f.read(1):
+                raise InvalidInput("trailing bytes after model payload")
+        model = SnnModel(weights=weights, t_inf=manifest["t_inf"],
+                         input_shape=tuple(manifest["input_shape"]),
+                         quantized=quantized, provenance=manifest.get("provenance"))
+        for key, actual in _manifest_sizes(model).items():
+            if manifest[key] != actual:
+                raise InvalidInput(
+                    f"model field {key!r} is {manifest[key]}, its tensors give {actual}"
                 )
-        if f.read(1):
-            raise InvalidInput(f"{path}: trailing bytes after model payload")
-    model = SnnModel(weights=weights, t_inf=manifest["t_inf"],
-                     input_shape=tuple(manifest["input_shape"]),
-                     quantized=quantized, provenance=manifest.get("provenance"))
-    for key, actual in _manifest_sizes(model).items():
-        if manifest[key] != actual:
-            raise InvalidInput(
-                f"{path}: model field {key!r} is {manifest[key]}, "
-                f"its tensors give {actual}"
-            )
+    except InvalidInput as exc:
+        raise InvalidInput(f"{path}: {exc}") from exc
     return model

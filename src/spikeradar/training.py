@@ -234,34 +234,31 @@ def adam_step(
     weights: dict,
     grads: dict,
     state: AdamState,
-    lr: float = 1e-3,
-    beta1: float = ADAM_BETA1,
-    beta2: float = ADAM_BETA2,
-    eps: float = ADAM_EPS,
+    lr: float,
 ):
     """Standard bias-corrected Adam update, in place on weights and state."""
     for name, g in grads.items():
         if not np.isfinite(g).all():
             raise NonFiniteGradient(f"non-finite gradient in {name!r}")
     state.t += 1
-    c1 = 1.0 - beta1 ** state.t
-    c2 = 1.0 - beta2 ** state.t
+    c1 = 1.0 - ADAM_BETA1 ** state.t
+    c2 = 1.0 - ADAM_BETA2 ** state.t
     for name in weights:
         g, m, v = grads[name], state.m[name], state.v[name]
         # m = beta1 m + (1 - beta1) g and v = beta2 v + (1 - beta2) g^2,
         # then w -= lr m_hat / (sqrt(v_hat) + eps), in two scratch arrays
-        step = np.multiply(g, 1.0 - beta1)
-        m *= beta1
+        step = np.multiply(g, 1.0 - ADAM_BETA1)
+        m *= ADAM_BETA1
         m += step
         denom = np.square(g)
-        denom *= 1.0 - beta2
-        v *= beta2
+        denom *= 1.0 - ADAM_BETA2
+        v *= ADAM_BETA2
         v += denom
         np.divide(m, c1, out=step)
         step *= lr
         np.divide(v, c2, out=denom)
         np.sqrt(denom, out=denom)
-        denom += eps
+        denom += ADAM_EPS
         step /= denom
         weights[name] -= step
     return weights, state

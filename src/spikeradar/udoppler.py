@@ -66,8 +66,6 @@ class RangeProfileSequence:
         profiles = np.asarray(self.profiles)
         if profiles.ndim != 2 or profiles.size == 0:
             raise InvalidInput("range profiles must be a non-empty 2-D array")
-        if not np.iscomplexobj(profiles):
-            profiles = profiles.astype(np.complex128)
         object.__setattr__(self, "profiles", profiles)
         if not (0 <= self.gesture_bin < profiles.shape[1]):
             raise InvalidInput(
@@ -132,7 +130,6 @@ def compute_range_profiles(
     cube: RadarCube,
     fft_len: int | None = None,
     gesture_bin: int | None = None,
-    window: str = "blackman",
 ) -> RangeProfileSequence:
     """DFT each chirp's fast-time samples into a range profile.
 
@@ -147,8 +144,6 @@ def compute_range_profiles(
             max-energy bin is picked automatically; that auto-pick is an
             auxiliary convenience, not part of the measurement protocol,
             which fixes the bin from the known target distance.
-        window: "blackman" (default) or "rectangular" (windowing disabled,
-            for oracle comparisons).
 
     Returns:
         RangeProfileSequence with one row per chirp.
@@ -160,13 +155,7 @@ def compute_range_profiles(
         raise InvalidInput(
             f"fft_len {fft_len} shorter than fast-time sample count {n_fast}"
         )
-    if window == "blackman":
-        w = np.blackman(n_fast)
-    elif window == "rectangular":
-        w = np.ones(n_fast)
-    else:
-        raise InvalidInput(f"unknown window {window!r}")
-    profiles = np.fft.fft(cube.samples * w, n=fft_len, axis=1)
+    profiles = np.fft.fft(cube.samples * np.blackman(n_fast), n=fft_len, axis=1)
     if gesture_bin is None:
         # the DFT of real samples puts the same energy in bin k and its mirror
         # fft_len - k in exact arithmetic, and rounding would pick between
@@ -176,16 +165,13 @@ def compute_range_profiles(
     return RangeProfileSequence(profiles=profiles, gesture_bin=gesture_bin)
 
 
-def pick_gesture_bin(profiles) -> int:
+def pick_gesture_bin(profiles: np.ndarray) -> int:
     """Max-energy range bin: argmax_k of sum_n |R_n[k]|^2 (first index wins).
 
-    Accepts a RangeProfileSequence or a raw (chirp x bin) complex array.
-    Auxiliary helper: in a measurement the gesture bin is usually known
-    from the geometry instead of estimated.
+    Takes a (chirp x bin) complex array. Auxiliary helper: in a measurement
+    the gesture bin is usually known from the geometry instead of estimated.
     """
-    if isinstance(profiles, RangeProfileSequence):
-        profiles = profiles.profiles
-    energy = np.sum(np.abs(np.asarray(profiles)) ** 2, axis=0)
+    energy = np.sum(np.abs(profiles) ** 2, axis=0)
     return int(np.argmax(energy))
 
 
@@ -242,7 +228,9 @@ def band_column_range(window_len: int, low: float, high: float) -> tuple[int, in
     columns.
     """
     if not (-0.5 <= low < high <= 0.5):
-        raise InvalidInput(f"band [{low}, {high}] must lie within [-0.5, 0.5]")
+        raise InvalidInput(
+            f"band must satisfy -0.5 <= low < high <= 0.5, got {low} {high}"
+        )
     j_lo = int(math.floor((low + 0.5) * window_len))
     j_hi = int(math.floor((high + 0.5) * window_len))
     j_lo = max(0, min(j_lo, window_len - 1))
@@ -280,8 +268,6 @@ def cut_maps(
         )
         for i in range(n_segments)
     ]
-    if head_tail_trim == 0:
-        return segments
     return segments[head_tail_trim : n_segments - head_tail_trim]
 
 
@@ -291,8 +277,6 @@ def keep_top_k_rows(values: np.ndarray, k: int) -> np.ndarray:
     Ties are broken toward the lower column index (stable selection), so the
     result is deterministic.
     """
-    if k >= values.shape[1]:
-        return values.copy()
     out = np.zeros_like(values)
     if k <= 0:
         return out
@@ -302,6 +286,19 @@ def keep_top_k_rows(values: np.ndarray, k: int) -> np.ndarray:
     rows = np.arange(values.shape[0])[:, None]
     out[rows, order] = values[rows, order]
     return out
+
+
+def _check_band_and_top_k(window_len: int, band: tuple, top_k: int) -> tuple[int, int]:
+    """Band columns [j_lo, j_hi] of an s-bin Doppler axis, after checking
+    that top_k lies in [1, retained bins]."""
+    j_lo, j_hi = band_column_range(window_len, band[0], band[1])
+    n_retained = j_hi - j_lo + 1
+    if not 1 <= top_k <= n_retained:
+        raise InvalidInput(
+            f"top_k must be in [1, {n_retained}] (the retained Doppler bins), "
+            f"got {top_k}"
+        )
+    return j_lo, j_hi
 
 
 def normalize_and_denoise(
@@ -320,19 +317,12 @@ def normalize_and_denoise(
     """
     if m.normalized:
         raise InvalidInput("map is already normalized")
-    s = m.values.shape[1]
-    j_lo, j_hi = band_column_range(s, band[0], band[1])
-    n_retained = j_hi - j_lo + 1
-    if not 1 <= top_k <= n_retained:
-        raise InvalidInput(
-            f"top_k must be in [1, {n_retained}] (the retained Doppler bins), "
-            f"got {top_k}"
-        )
+    j_lo, j_hi = _check_band_and_top_k(m.values.shape[1], band, top_k)
     vmin = m.values.min()
     vmax = m.values.max()
     if vmax == vmin:
         return MicroDopplerMap(
-            values=np.zeros((m.time_len, n_retained)), normalized=True
+            values=np.zeros((m.time_len, j_hi - j_lo + 1)), normalized=True
         )
     norm = (m.values - vmin) / (vmax - vmin)
     banded = norm[:, j_lo : j_hi + 1]
@@ -356,6 +346,7 @@ def process_cube(
     maps.
     """
     cfg = cfg or StftConfig()
+    _check_band_and_top_k(cfg.window_len, band, top_k)
     profiles = compute_range_profiles(cube, fft_len=fft_len, gesture_bin=gesture_bin)
     seq = dc_removed_sequence(profiles)
     full_map = stft_magnitude(seq, cfg)

@@ -310,20 +310,22 @@ def test_exit_code_zero_chirps_per_frame(cube_file, tmp_path, capsys):
 
 @pytest.mark.parametrize("flag,value", [
     ("--noise", "nan"), ("--noise", "inf"), ("--noise", "-1"),
-    ("--topk", "0"), ("--topk", "-1"),
+    ("--topk", "0"), ("--topk", "-1"), ("--band", "0.3 0.2"),
 ])
 def test_exit_code_bad_value(flag, value, tmp_path, capsys):
     if flag == "--noise":
-        argv = ["synth", "--per-class", "1", "--noise", value]
+        runs = [["synth", "--per-class", "1", "--noise", value]]
     else:
-        # four frames of 192 chirps: long enough for one untrimmed segment
+        # four frames of 192 chirps: one segment untrimmed, none after the
+        # default --trim 6, so the check cannot wait for a segment
         cube = tmp_path / "cube.bin"
         samples = np.random.default_rng(0).standard_normal((4 * 192, 8))
         write_tensor(cube, samples, ["chirp", "fast_time"], dtype="f32")
-        argv = ["dsp", "udoppler", "--input", str(cube), "--trim", "0",
-                "--topk", value]
-    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
-    assert f"got {value}" in capsys.readouterr().err
+        dsp = ["dsp", "udoppler", "--input", str(cube), flag, *value.split()]
+        runs = [dsp + ["--trim", "0"], dsp]
+    for argv in runs:
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert f"got {value}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text", [
@@ -339,6 +341,17 @@ def test_exit_code_plot_bad_json(text, tmp_path, capsys):
     src.write_text(text)
     assert main(["plot", "--input", str(src), "--out", str(tmp_path / "p")]) == 2
     assert "report.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("shape,dtype", [
+    ((0, 5), "f32"), ((0, 4, 3), "f32"), ((2, 4, 3), "c64"),
+], ids=["empty-2d-f32", "empty-3d-f32", "3d-c64"])
+def test_exit_code_plot_unplottable_tensor(shape, dtype, tmp_path, capsys):
+    src = tmp_path / "tensor.bin"
+    values = np.ones(shape, dtype=np.complex64 if dtype == "c64" else np.float32)
+    write_tensor(src, values, ["a", "b", "c"][: len(shape)], dtype=dtype)
+    assert main(["plot", "--input", str(src), "--out", str(tmp_path / "p")]) == 2
+    assert "tensor.bin" in capsys.readouterr().err
 
 
 def test_exit_code_provenance_not_an_object(synth_dir, tmp_path, capsys):

@@ -66,7 +66,8 @@ def test_u1_bit_packing_msb_first(tmp_path):
     bits = np.array([1, 0, 1, 1, 0, 0, 1, 0, 1], dtype=np.uint8).reshape(3, 3)
     path = os.path.join(tmp_path, "b.bin")
     write_tensor(path, bits, ["h", "w"], dtype="u1")
-    raw = open(path, "rb").read()
+    with open(path, "rb") as f:
+        raw = f.read()
     header_line, payload = raw.split(b"\n", 1)
     header = json.loads(header_line)
     assert header["dtype"] == "u1"
@@ -119,7 +120,8 @@ def test_zero_size_tensor(tmp_path):
 
 
 def corrupt(path, out, mutate):
-    raw = open(path, "rb").read()
+    with open(path, "rb") as f:
+        raw = f.read()
     header_line, payload = raw.split(b"\n", 1)
     header = json.loads(header_line)
     mutate(header)
@@ -155,7 +157,8 @@ def test_truncated_and_trailing_payload_rejected(tmp_path):
     src = os.path.join(tmp_path, "ok.bin")
     write_tensor(src, np.arange(6, dtype=np.float32).reshape(2, 3), ["a", "b"],
                  dtype="f32")
-    raw = open(src, "rb").read()
+    with open(src, "rb") as f:
+        raw = f.read()
 
     short = os.path.join(tmp_path, "short.bin")
     with open(short, "wb") as f:

@@ -149,9 +149,10 @@ def test_manifest_corruption_cases(tmp_path):
 
     good = json.loads(mpath.read_text())
 
-    mpath.write_text("{ not json")
-    with pytest.raises(CorruptDataset):
-        read_manifest(tmp_path)
+    for raw in (b"{ not json", b'{"format": "\xff"}'):  # not JSON; not UTF-8
+        mpath.write_bytes(raw)
+        with pytest.raises(CorruptDataset):
+            read_manifest(tmp_path)
 
     bad = dict(good, format="something-else")
     mpath.write_text(json.dumps(bad))

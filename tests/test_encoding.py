@@ -114,7 +114,6 @@ def test_spike_tensor_validation_and_counts():
     bits[3, 0, 1, 1] = 1
     t = SpikeTensor(bits=bits)
     assert t.t_inf == 4
-    assert t.spatial_shape == (1, 2, 2)
     assert t.total_spikes() == 2
     with pytest.raises(InvalidInput):
         SpikeTensor(bits=np.full((2, 1, 2, 2), 3, dtype=np.uint8))

@@ -427,8 +427,9 @@ def test_load_rejects_malformed_manifest(tmp_path):
         path = os.path.join(tmp_path, f"bad{i}.bin")
         with open(path, "wb") as f:
             f.write(content)
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InvalidInput) as exc:
             load_model(path)
+        assert path in str(exc.value), i
 
 
 

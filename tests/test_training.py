@@ -260,7 +260,7 @@ def test_adam_in_place_update_is_bit_identical():
     lr, beta1, beta2, eps = 2e-3, 0.9, 0.999, 1e-8
     for t in range(1, 9):
         g = {k: rng.standard_normal(v.shape) * 10.0 ** -t for k, v in w.items()}
-        adam_step(w, g, state, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+        adam_step(w, g, state, lr=lr)
         for k in ref_w:
             ref_m[k] = beta1 * ref_m[k] + (1.0 - beta1) * g[k]
             ref_v[k] = beta2 * ref_v[k] + (1.0 - beta2) * np.square(g[k])
