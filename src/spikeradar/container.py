@@ -158,9 +158,13 @@ def write_tensor(path, values: np.ndarray, axes, dtype: str) -> None:
 
 
 def read_tensor(path):
-    """Read a single-tensor container file; trailing bytes are an error."""
+    """Read a single-tensor container file; trailing bytes are an error.
+    Every InvalidInput raised names path."""
     with open(path, "rb") as f:
-        values, header = read_tensor_from(f)
+        try:
+            values, header = read_tensor_from(f)
+        except InvalidInput as exc:
+            raise InvalidInput(f"{path}: {exc}") from exc
         if f.read(1):
             raise InvalidInput(f"{path}: trailing bytes after tensor payload")
     return values, header

@@ -217,6 +217,19 @@ def read_manifest(dataset_dir) -> DatasetManifest:
     )
 
 
+def _entry_path(dataset_dir, entry) -> str:
+    """The path of the payload file a manifest entry lists; CorruptDataset
+    unless it names a regular file inside dataset_dir."""
+    name = entry["file"]
+    norm = os.path.normpath(name)
+    if os.path.isabs(name) or norm == os.pardir or norm.startswith(os.pardir + os.sep):
+        raise CorruptDataset(f"file {name!r} listed in manifest is outside {dataset_dir}")
+    path = os.path.join(dataset_dir, name)
+    if not os.path.isfile(path):
+        raise CorruptDataset(f"file {name!r} listed in manifest is missing or not a file")
+    return path
+
+
 def ingest_external(dataset_dir, t_inf: int | None = None):
     """Load a dataset directory into LabeledExamples.
 
@@ -229,19 +242,15 @@ def ingest_external(dataset_dir, t_inf: int | None = None):
         (examples, manifest).
 
     Raises:
-        CorruptDataset: missing/malformed manifest or missing listed file.
+        CorruptDataset: missing/malformed manifest, or a listed file that
+            is missing, not a regular file or outside dataset_dir.
         InvalidInput: payload shape/dtype violations, T_fr < t_inf.
     """
     manifest = read_manifest(dataset_dir)
     kinds = [k for k, f in _PAYLOAD_FILES.items() if f[0] == manifest.pipeline]
     examples = []
     for entry in manifest.entries:
-        try:
-            payload = read_payload(os.path.join(dataset_dir, entry["file"]), *kinds)
-        except FileNotFoundError as exc:
-            raise CorruptDataset(
-                f"file {entry['file']} listed in manifest is missing"
-            ) from exc
+        payload = read_payload(_entry_path(dataset_dir, entry), *kinds)
         if (
             t_inf is not None
             and isinstance(payload, RangeDopplerSequence)
@@ -264,13 +273,10 @@ def ingest_external(dataset_dir, t_inf: int | None = None):
 
 
 def dataset_info(dataset_dir) -> DatasetManifest:
-    """Manifest summary with file presence verified."""
+    """Manifest summary with every listed file checked by _entry_path."""
     manifest = read_manifest(dataset_dir)
     for entry in manifest.entries:
-        if not os.path.isfile(os.path.join(dataset_dir, entry["file"])):
-            raise CorruptDataset(
-                f"file {entry['file']} listed in manifest is missing"
-            )
+        _entry_path(dataset_dir, entry)
     return manifest
 
 

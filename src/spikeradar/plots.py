@@ -30,21 +30,6 @@ def write_pgm(path, values: np.ndarray) -> None:
         f.write(gray.tobytes())
 
 
-def read_pgm(path) -> np.ndarray:
-    """Read a binary PGM written by write_pgm back to values in [0, 1]."""
-    with open(path, "rb") as f:
-        magic = f.readline().strip()
-        if magic != b"P5":
-            raise InvalidInput(f"{path}: not a binary PGM")
-        dims = f.readline().split()
-        maxval = int(f.readline())
-        w, h = int(dims[0]), int(dims[1])
-        raw = f.read(w * h)
-    if len(raw) != w * h:
-        raise InvalidInput(f"{path}: truncated PGM payload")
-    return np.frombuffer(raw, dtype=np.uint8).reshape(h, w) / float(maxval)
-
-
 def write_loss_csv(loss_curves, path) -> None:
     """Per-fold, per-epoch mean training loss as CSV."""
     with open(path, "w", newline="", encoding="utf-8") as f:

@@ -10,8 +10,9 @@ k = T..1 with gV_{T+1} = 0:
     gV_k = gV_{k+1} * c_k + gS_k * surrogate(V_k - 1)
 
 with carry factor c_k = 1 - S_k in hard mode (c_k = 1 in the relaxed mode,
-where the same recurrence is exact). Layers are processed sigma3 -> sigma2
--> sigma1, since each layer's gS comes from the next layer's gJ.
+where the same recurrence is exact). One reverse sweep over k runs all
+three layers, sigma3 -> sigma2 -> sigma1 within each step, since a layer's
+gS_k comes from the next layer's gJ_k.
 """
 
 from __future__ import annotations
@@ -77,78 +78,6 @@ def _check_labels(labels, n: int, n_classes: int) -> np.ndarray:
     return labels
 
 
-def _layer_time_backward(g_spikes, v_pre, spikes, relaxed: bool):
-    """Run the per-layer adjoint recurrence over time.
-
-    Args:
-        g_spikes: (T, ...) adjoint of each step's spike output.
-        v_pre: (T, ...) pre-update potentials.
-        spikes: (T, ...) emitted spikes (ignored when relaxed).
-        relaxed: carry factor 1 instead of (1 - S).
-
-    Returns:
-        g_drive: (T, ...) adjoint of each step's input drive J_k.
-    """
-    t = g_spikes.shape[0]
-    g_drive = np.empty_like(g_spikes)
-    g_v_next = np.zeros_like(g_spikes[0])
-    scratch = np.empty_like(g_v_next)
-    for k in range(t - 1, -1, -1):
-        gd = g_drive[k]
-        np.copyto(gd, g_v_next)
-        if not relaxed:
-            np.copyto(gd, 0.0, where=(spikes[k] != 0))
-        np.add(gd, _surrogate_term(v_pre[k], g_spikes[k], scratch), out=g_v_next)
-    return g_drive
-
-
-def _sigma1_backward(g_routed, v1_routed, cells, spikes, relaxed: bool, bits, kernel):
-    """Run sigma1's adjoint recurrence and accumulate the conv weight gradient.
-
-    sigma1's spikes reach fc1 through the 2x2 pool, so only the cell each
-    pool window routes to receives a spike adjoint, and the surrogate is
-    evaluated at those cells only.
-
-    Args:
-        g_routed: (T, B, C, PH, PW) adjoint of each pooled cell's spike.
-        v1_routed: (T, B, C, PH, PW) pre-update potential of the routed cell.
-        cells: (T, B, C, PH, PW) flat index of the routed cell into one
-            step's (B, C, OH, OW) map.
-        spikes: (T, B, C, OH, OW) emitted spikes (ignored when relaxed).
-        relaxed: carry factor 1 instead of (1 - S).
-        bits: (B, T, C_in, H, W) input spikes, whose patches are gathered
-            again for the weight gradient.
-        kernel: (kh, kw).
-
-    Returns:
-        (C, C_in*kh*kw) conv weight gradient; the conv layer is first, so
-        no input gradient is needed.
-    """
-    t, b, c1 = spikes.shape[:3]
-    kh, kw = kernel
-    g_w = np.zeros((c1, bits.shape[2] * kh * kw))
-    # running membrane adjoint; after the reset mask, step k's drive adjoint
-    g_v = np.zeros(spikes.shape[1:])
-    g_v_cells = g_v.reshape(-1)
-    g_v_rows = g_v.reshape(b, c1, -1)
-    scratch = np.empty(g_routed.shape[1:])
-    live = False  # g_v may be non-zero
-    for k in range(t - 1, -1, -1):
-        if live:
-            if not relaxed:
-                np.copyto(g_v, 0.0, where=(spikes[k] != 0))
-            for i, patches in patch_chunks(bits[:, k], kh, kw):
-                g_chunk = g_v_rows[i : i + len(patches)]
-                g_w += np.matmul(g_chunk, patches.transpose(0, 2, 1)).sum(axis=0)
-        # A spike at step k reaches the loss only through later steps, so the
-        # last steps' spike adjoints are exactly zero and add nothing.
-        if not g_routed[k].any():
-            continue
-        live = True
-        g_v_cells[cells[k]] += _surrogate_term(v1_routed[k], g_routed[k], scratch)
-    return g_w
-
-
 def backprop_through_time(
     model: SnnModel,
     bits: np.ndarray,
@@ -172,7 +101,8 @@ def backprop_through_time(
     tape = out.tape
     b = bits.shape[0]
     t = model.t_inf
-    relaxed = mode == "relaxed"
+    c1 = model.conv_channels
+    kh, kw = model.kernel
     w_fc1, w_fc2 = model.weights["fc1"], model.weights["fc2"]
 
     loss = cross_entropy(out.probs, labels)
@@ -180,23 +110,50 @@ def backprop_through_time(
     g_acc[np.arange(b), labels] -= 1.0
     g_acc /= b
 
-    # sigma3: the accumulator is a plain sum, so every step's spike output
-    # shares the same adjoint.
-    g_s3 = np.broadcast_to(g_acc, (t,) + g_acc.shape)
-    g_j3 = _layer_time_backward(
-        np.ascontiguousarray(g_s3, dtype=np.float64), tape.v3_pre, tape.s3, relaxed
-    )
+    def carry(g_v, spikes):
+        """Pass a membrane adjoint back through one step's reset, in place."""
+        if mode != "relaxed":
+            np.copyto(g_v, 0.0, where=(spikes != 0))
+        return g_v
 
-    # sigma2
-    g_s2 = g_j3.reshape(t * b, -1) @ w_fc2
-    g_s2 = g_s2.reshape(t, b, -1)
-    g_j2 = _layer_time_backward(g_s2, tape.v2_pre, tape.s2, relaxed)
-
-    # sigma1: the adjoint of each pooled cell is that of its routed cell's spike
-    g_routed = (g_j2.reshape(t * b, -1) @ w_fc1).reshape(tape.cells.shape)
-    g_w1 = _sigma1_backward(
-        g_routed, tape.v1_routed, tape.cells, tape.s1, relaxed, bits, model.kernel
-    )
+    # Each layer's membrane adjoint, carried from step k+1; after carry it is
+    # the adjoint of step k's drive.
+    g_v3 = np.zeros_like(g_acc)
+    g_v2 = np.zeros((b, model.hidden))
+    g_v1 = np.zeros(tape.s1.shape[1:])
+    g_v1_cells = g_v1.reshape(-1)
+    g_v1_rows = g_v1.reshape(b, c1, -1)
+    g_j3 = np.empty((t,) + g_v3.shape)
+    g_j2 = np.empty((t,) + g_v2.shape)
+    g_w1 = np.zeros((c1, bits.shape[2] * kh * kw))
+    scratch3, scratch2 = np.empty_like(g_v3), np.empty_like(g_v2)
+    scratch1 = np.empty(tape.cells.shape[1:])
+    sigma1_live = False  # g_v1 may be non-zero
+    for k in range(t - 1, -1, -1):
+        # sigma3: the accumulator is a plain sum, so every step's spike has
+        # the adjoint g_acc
+        g_j3[k] = carry(g_v3, tape.s3[k])
+        g_v3 += _surrogate_term(tape.v3_pre[k], g_acc, scratch3)
+        # sigma2
+        g_j2[k] = carry(g_v2, tape.s2[k])
+        g_v2 += _surrogate_term(tape.v2_pre[k], g_j3[k] @ w_fc2, scratch2)
+        # sigma1: its drive adjoint meets the step's input patches in the
+        # conv weight gradient; the conv layer is first, so no input
+        # gradient is needed
+        if sigma1_live:
+            carry(g_v1, tape.s1[k])
+            for i, patches in patch_chunks(bits[:, k], kh, kw):
+                g_chunk = g_v1_rows[i : i + len(patches)]
+                g_w1 += np.matmul(g_chunk, patches.transpose(0, 2, 1)).sum(axis=0)
+        # A drive reaches the loss only through later steps, so sigma2's drive
+        # adjoint, and sigma1's spike adjoint with it, is exactly zero on the
+        # last steps; those skip the fc1 GEMM. Only the cell each pool window
+        # routes to receives its pooled cell's spike adjoint.
+        if not g_j2[k].any():
+            continue
+        sigma1_live = True
+        g_routed = (g_j2[k] @ w_fc1).reshape(scratch1.shape)
+        g_v1_cells[tape.cells[k]] += _surrogate_term(tape.v1_routed[k], g_routed, scratch1)
 
     s2_flat = np.ascontiguousarray(tape.s2.reshape(t * b, -1), dtype=np.float64)
     g_w3 = g_j3.reshape(t * b, -1).T @ s2_flat

@@ -214,11 +214,6 @@ def stft_magnitude(seq: np.ndarray, cfg: StftConfig) -> MicroDopplerMap:
     return MicroDopplerMap(values=np.abs(spectra), normalized=False)
 
 
-def doppler_frequencies(window_len: int) -> np.ndarray:
-    """Normalized center frequency of each Doppler column: (j - s/2) / s."""
-    return (np.arange(window_len) - window_len // 2) / window_len
-
-
 def band_column_range(window_len: int, low: float, high: float) -> tuple[int, int]:
     """Inclusive column index range [j_lo, j_hi] for a frequency band.
 

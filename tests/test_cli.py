@@ -203,10 +203,45 @@ def test_exit_code_malformed_headers(tmp_path, capsys):
               "endian": "little"}
     tensor.write_bytes(json.dumps(header).encode() + b"\n")
     assert main(["plot", "--input", str(tensor), "--out", str(tmp_path / "p")]) == 2
+    assert str(tensor) in capsys.readouterr().err
     model = tmp_path / "model.bin"
     model.write_bytes(b'{"format": "spikeradar-model"}\n')
     assert main(["infer", "--model", str(model), "--input", str(tensor)]) == 2
-    capsys.readouterr()
+    assert str(model) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["dataset entry", "dsp udoppler", "plot"])
+def test_exit_code_not_a_container_names_the_file(command, spikes_dir, tmp_path,
+                                                  capsys):
+    ds = tmp_path / "ds"
+    shutil.copytree(spikes_dir, ds)
+    junk = ds / "ex00000.bin"
+    junk.write_bytes(b"not a container\n")
+    out = str(tmp_path / "out")
+    argv = {
+        "dataset entry": ["encode", "ttfs", "--input", str(ds), "--tinf", "4",
+                          "--out", out],
+        "dsp udoppler": ["dsp", "udoppler", "--input", str(junk), "--out", out],
+        "plot": ["plot", "--input", str(junk), "--out", out],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "container header is not valid JSON" in err
+    assert err.count("ex00000.bin") == 1, err
+
+
+@pytest.mark.parametrize("name", [".", "../outside.bin", "absolute"])
+def test_exit_code_entry_outside_or_not_a_file(name, synth_dir, tmp_path, capsys):
+    outside = tmp_path / "outside.bin"  # a good payload, beside the dataset
+    shutil.copy(synth_dir / "ex00001.bin", outside)
+    if name == "absolute":
+        name = str(outside)
+    bad = with_entry(synth_dir, tmp_path / "ds", "file", name)
+    for argv in (["dataset", "info", str(bad)],
+                 ["encode", "ttfs", "--input", str(bad), "--tinf", "4",
+                  "--out", str(tmp_path / "spikes")]):
+        assert main(argv) == 3
+        assert repr(name) in capsys.readouterr().err
 
 
 def test_exit_code_training_error_in_worker(synth_dir, tmp_path, monkeypatch,

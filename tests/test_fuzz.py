@@ -3,8 +3,13 @@
 Each case damages a good model file, spike tensor file or dataset manifest
 (truncation, bit flips, inserted bytes, edited header characters) and runs
 the commands that read it. Every run must end with exit 0, 2 (invalid input)
-or 3 (corrupt dataset): never exit 1 and never an uncaught exception.
+or 3 (corrupt dataset): never exit 1 and never an uncaught exception. A
+structured pass points a manifest entry at paths that are not a payload file
+inside the dataset, which byte edits cannot reach.
 """
+
+import json
+import shutil
 
 import numpy as np
 import pytest
@@ -89,3 +94,40 @@ def test_mutated_file_exits_0_2_or_3(target, good, capsys):
                 assert rc in (0, 2, 3), (i, argv, err)
     finally:
         src.write_bytes(raw)
+
+
+def not_payload_files(root):
+    """Manifest file values that name no payload file inside root/ds: the
+    directory itself, its parent, good payloads outside it (relative and
+    absolute), a subdirectory and a file that is not a container."""
+    shutil.copy(root / "tensor.bin", root / "x.bin")
+    (root / "ds" / "sub").mkdir(exist_ok=True)
+    (root / "ds" / "junk.bin").write_bytes(b"junk")
+    return [".", "..", "../x.bin", str(root / "tensor.bin"), "sub", "junk.bin"]
+
+
+def test_entry_not_a_payload_file_exits_2_or_3(good, capsys):
+    manifest_path = good / "ds" / "manifest.json"
+    raw = manifest_path.read_text()
+    manifest = json.loads(raw)
+    rng = np.random.default_rng(4099)
+    model, ds = str(good / "model.bin"), str(good / "ds")
+    argvs = [["dataset", "info", ds],
+             ["encode", "ttfs", "--input", ds, "--tinf", "2",
+              "--out", str(good / "spikes")],
+             ["energy", "--model", model, "--dataset", ds,
+              "--out", str(good / "energy.json")]]
+    try:
+        for name in not_payload_files(good):
+            entries = [dict(e) for e in manifest["examples"]]
+            entries[rng.integers(len(entries))]["file"] = name
+            manifest_path.write_text(json.dumps({**manifest, "examples": entries}))
+            for argv in argvs:
+                rc = main(argv)
+                err = capsys.readouterr().err
+                # dataset info checks that each listed file is a regular file
+                # inside the dataset, but parses no payload
+                parsed = argv[0] != "dataset" or name != "junk.bin"
+                assert rc in ((2, 3) if parsed else (0, 2, 3)), (name, argv, err)
+    finally:
+        manifest_path.write_text(raw)

@@ -10,10 +10,20 @@ from spikeradar.plots import (
     export_map_pgm,
     export_sequence_pgms,
     export_spike_pgms,
-    read_pgm,
     write_loss_csv,
     write_pgm,
 )
+
+
+def read_pgm(path) -> np.ndarray:
+    """Read a binary PGM written by write_pgm back to values in [0, 1]."""
+    with open(path, "rb") as f:
+        assert f.readline() == b"P5\n"
+        w, h = map(int, f.readline().split())
+        maxval = int(f.readline())
+        raw = f.read()
+    assert len(raw) == w * h
+    return np.frombuffer(raw, dtype=np.uint8).reshape(h, w) / float(maxval)
 
 
 def test_pgm_roundtrip_quantized_to_255(tmp_path):
@@ -49,14 +59,6 @@ def test_pgm_validation(tmp_path):
         write_pgm(tmp_path / "x.pgm", np.array([[1.5]]))
     with pytest.raises(InvalidInput):
         write_pgm(tmp_path / "x.pgm", np.array([[np.nan]]))
-    bad = tmp_path / "bad.pgm"
-    bad.write_bytes(b"P6\n1 1\n255\n\x00")
-    with pytest.raises(InvalidInput):
-        read_pgm(bad)
-    trunc = tmp_path / "trunc.pgm"
-    trunc.write_bytes(b"P5\n4 4\n255\n\x00\x00")
-    with pytest.raises(InvalidInput):
-        read_pgm(trunc)
 
 
 def test_spike_export_one_file_per_step(tmp_path):

@@ -12,6 +12,7 @@ from sanity_data import sanity_spike_dataset
 from scalar_reference import random_tiny_model, scalar_adam_update
 from spikeradar import training
 from spikeradar.errors import InvalidInput, NonFiniteGradient, StratificationError
+from spikeradar.quant import dequantize, quantize
 from spikeradar.snn import SnnModel, forward_batch, init_model, save_model
 from spikeradar.training import (
     GAIN_AT_THRESHOLD,
@@ -134,8 +135,10 @@ def max_rel_error(grads, ref):
 def test_bptt_matches_dense_reference_tiny(mode):
     """Lean BPTT vs the dense im2col/full-surrogate/unpool algorithm."""
     rng = np.random.default_rng(75)
-    for trial in range(12):
-        t_inf = int(rng.integers(1, 6))
+    # the last two trials run a long window, where sigma1's adjoint starts
+    # partway through the reverse sweep
+    for trial in range(14):
+        t_inf = 28 if trial >= 12 else int(rng.integers(1, 6))
         n_classes = int(rng.integers(2, 5))
         hidden = int(rng.integers(4, 9))
         # 9 rows or columns give an odd conv output, so the pool truncates
@@ -187,6 +190,39 @@ def test_hard_gradients_finite_and_nonzero():
     assert probs.shape == (2, 3)
     total = sum(np.abs(g).sum() for g in grads.values())
     assert np.isfinite(total) and total > 0
+
+
+@pytest.mark.parametrize("view", ["float", "qat"])
+def test_output_reads_only_the_inputs_within_its_horizon(view):
+    """Each IF layer compares its pre-update potential, so each adds one step
+    of delay and the last three input steps cannot reach the output: at
+    T_inf = 4 probs, loss and gradients read input step 0 alone."""
+    rng = np.random.default_rng(77)
+    for t_inf, kept in ((4, 1), (28, 25)):
+        weights, bits, meta = random_tiny_model(rng, t_inf=t_inf, dyadic=True,
+                                                scale=1.0)
+        model = tiny_model(weights, meta, t_inf)
+        if view == "qat":
+            model = replace(model, weights={
+                n: dequantize(quantize(w, 4)) for n, w in model.weights.items()})
+        batch = (rng.random((6,) + bits.shape) < 0.35).astype(np.uint8)
+        labels = rng.integers(0, 3, size=6).astype(np.int64)
+        grads, loss, probs = backprop_through_time(model, batch, labels)
+        assert forward_batch(model, batch).spike_counts["sigma3"].sum() > 0
+        assert all(np.abs(g).sum() > 0 for g in grads.values())
+        # random bits past the horizon at T_inf = 4, every bit flipped at 28
+        late = batch.copy()
+        late[:, kept:] = (rng.random(late[:, kept:].shape) < 0.35 if t_inf == 4
+                          else 1 - late[:, kept:])
+        late_grads, late_loss, late_probs = backprop_through_time(model, late, labels)
+        assert np.array_equal(late_probs, probs)
+        assert late_loss == loss
+        for name, g in grads.items():
+            assert np.array_equal(late_grads[name], g), name
+        # the step before the horizon does reach the output
+        early = batch.copy()
+        early[:, kept - 1] ^= 1
+        assert not np.array_equal(forward_batch(model, early).probs, probs)
 
 
 def test_duplicated_example_doubles_its_contribution():

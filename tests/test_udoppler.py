@@ -15,7 +15,6 @@ from spikeradar.udoppler import (
     cut_maps,
     dc_removed_sequence,
     default_fft_len,
-    doppler_frequencies,
     keep_top_k_rows,
     normalize_and_denoise,
     pick_gesture_bin,
@@ -23,6 +22,12 @@ from spikeradar.udoppler import (
     stft_magnitude,
     suggested_top_k,
 )
+
+
+def doppler_frequencies(window_len: int) -> np.ndarray:
+    """Normalized center frequency of each Doppler column of stft_magnitude's
+    zero-centered layout: (j - s/2) / s."""
+    return (np.arange(window_len) - window_len // 2) / window_len
 
 
 def make_cube(samples, chirps_per_frame=None):
