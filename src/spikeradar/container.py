@@ -129,26 +129,21 @@ def read_tensor_from(f):
             f"container payload truncated: shape {shape} needs {n_bytes} bytes, "
             f"{left} remain"
         )
-    payload = f.read(n_bytes)
-    if len(payload) != n_bytes:
+    if tag == "u1":
+        payload = f.read(n_bytes)
+        got = len(payload)
+    else:  # read straight into the array
+        values = np.empty(shape, dtype=_DTYPES[tag])
+        got = f.readinto(values.reshape(-1).view(np.uint8))
+    if got != n_bytes:
         raise InvalidInput(
-            f"container payload truncated: expected {n_bytes} bytes, got {len(payload)}"
+            f"container payload truncated: expected {n_bytes} bytes, got {got}"
         )
     if tag == "u1":
-        if n_elem == 0:
-            values = np.zeros(shape, dtype=np.uint8)
-        else:
-            bits = np.unpackbits(
-                np.frombuffer(payload, dtype=np.uint8), count=n_elem, bitorder="big"
-            )
-            values = bits.reshape(shape)
-    else:
-        values = (
-            np.frombuffer(payload, dtype=_DTYPES[tag]).reshape(shape).astype(
-                _DTYPES[tag].newbyteorder("=")
-            )
-        )
-    return values, header
+        values = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=n_elem,
+                               bitorder="big").reshape(shape)
+    # converts only on a big-endian host
+    return values.astype(values.dtype.newbyteorder("="), copy=False), header
 
 
 def write_tensor(path, values: np.ndarray, axes, dtype: str) -> None:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .container import read_tensor, write_tensor
-from .encoding import SpikeTensor, ttfs_encode, wrap_binary
+from .encoding import SpikeTensor, ttfs_bits, ttfs_encode, wrap_binary
 from .errors import CorruptDataset, InvalidInput, StratificationError
 from .rangedoppler import BinaryRdSequence, RangeDopplerSequence, binarize, temporal_subsample
 from .udoppler import MicroDopplerMap, keep_top_k_rows
@@ -325,6 +325,11 @@ def encode_examples(examples, t_inf: int):
     """
     if not examples:
         raise InvalidInput("no examples to encode")
+    labels = np.asarray([ex.label for ex in examples], dtype=np.int64)
+    maps = [ex.payload.values for ex in examples if isinstance(ex.payload, MicroDopplerMap)]
+    if len(maps) == len(examples) and len({m.shape for m in maps}) == 1:
+        # maps of one shape are TTFS-encoded in one pass
+        return ttfs_bits(np.stack(maps), t_inf), labels
     tensors = []
     for ex in examples:
         p = ex.payload
@@ -347,9 +352,7 @@ def encode_examples(examples, t_inf: int):
     shapes = {t.shape for t in tensors}
     if len(shapes) != 1:
         raise InvalidInput(f"inconsistent example shapes: {sorted(shapes)}")
-    bits = np.stack(tensors)
-    labels = np.asarray([ex.label for ex in examples], dtype=np.int64)
-    return bits, labels
+    return np.stack(tensors), labels
 
 
 # ---------------------------------------------------------------------------

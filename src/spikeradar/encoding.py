@@ -68,18 +68,19 @@ def ttfs_encode(m: MicroDopplerMap, t_inf: int = 4) -> SpikeTensor:
         SpikeTensor of shape (t_inf, 1, H, W) with at most one spike per
         pixel across time; zero pixels emit no spike.
     """
+    return SpikeTensor(bits=ttfs_bits(m.values, t_inf))
+
+
+def ttfs_bits(v: np.ndarray, t_inf: int) -> np.ndarray:
+    """The TTFS spikes of maps v (..., H, W) as uint8 bits (..., t_inf, 1, H, W)."""
     if t_inf < 1:
         raise InvalidInput("t_inf must be >= 1")
-    v = m.values
     if v.size and (v.min() < 0.0 or v.max() > 1.0):
         raise InvalidInput("TTFS encoding requires map values in [0, 1]")
-    steps = t_inf - np.floor(v * t_inf).astype(np.int64)
-    steps = np.maximum(steps, 1)
-    bits = np.zeros((t_inf, 1) + v.shape, dtype=np.uint8)
-    nz = v > 0.0
-    rows, cols = np.nonzero(nz)
-    bits[steps[nz] - 1, 0, rows, cols] = 1
-    return SpikeTensor(bits=bits)
+    steps = np.maximum(t_inf - np.floor(v * t_inf), 1.0)
+    steps[v == 0.0] = 0.0  # no spike
+    step_of_bit = np.arange(1.0, t_inf + 1.0)[:, None, None, None]
+    return (steps[..., None, None, :, :] == step_of_bit).view(np.uint8)
 
 
 def wrap_binary(seq: BinaryRdSequence) -> SpikeTensor:

@@ -42,8 +42,9 @@ class QuantizedTensor:
 
     @cached_property
     def code_units(self) -> np.ndarray:
-        """The codes as read-only float64: the tensor in units of its scale."""
-        units = self.codes.astype(np.float64)
+        """The codes as read-only float32, which holds every code exactly:
+        the tensor in units of its scale."""
+        units = self.codes.astype(np.float32)
         units.flags.writeable = False
         return units
 
@@ -56,8 +57,7 @@ class QuantizedTensor:
         return float(min(math.ceil(1 / Fraction(self.scale)), 2 ** 53))
 
     def __getstate__(self):
-        # pickles, such as the fold models training's workers send back,
-        # leave out the float64 cache; a copy rebuilds it when read
+        # pickles leave out the float32 cache; a copy rebuilds it when read
         return {k: v for k, v in self.__dict__.items() if k != "code_units"}
 
 

@@ -15,7 +15,10 @@ so a neuron spikes the step AFTER its potential crossed threshold.
 The quantized view runs in integer code units: each layer's weights are its
 int8 codes, so every drive and membrane is a whole number of the layer's
 scale, and layer l fires at the integer threshold theta_l = ceil(1/scale_l),
-the smallest whole number of scale units that reaches 1.
+the smallest whole number of scale units that reaches 1. Those numbers run
+in float32 where it holds them exactly, else in float64 (resolve_weights).
+A hard forward that keeps no tape computes only the steps a spike can
+happen on or be read from (_forward_chunk); its outputs are bit-identical.
 
 The engine also has a "relaxed" mode where the hard spike is replaced by
 the smooth map (1/4) erf(sqrt(2) (V - 1)) + 1/4 and reset/clamp are
@@ -166,8 +169,8 @@ def _if_update(v: np.ndarray, drive: np.ndarray, threshold: float, out=None):
     The spike decision reads the PRE-update potential against threshold;
     on a spiking step the incoming drive is discarded entirely. Negative
     potentials (possible with negative weights) are clamped to 0 after the
-    update. v_next is written into out when given, which must not share
-    memory with v.
+    update. v_next is written into out when given, which may be v itself
+    when the caller no longer reads the pre-update potential.
     """
     spikes = v >= threshold
     v_next = np.add(v, drive, out=out)
@@ -198,17 +201,19 @@ def relaxed_spike(v: np.ndarray) -> np.ndarray:
 PATCH_CHUNK = 2
 
 
-def patch_chunks(x: np.ndarray, kh: int, kw: int):
+def patch_chunks(x: np.ndarray, w: np.ndarray):
     """Yield (i, patches) for the images x[i : i + PATCH_CHUNK] of x (B, C, H, W).
 
-    patches (n, C*kh*kw, OH*OW) float64 holds each image's conv patches,
-    rows in (channel, kernel row, kernel col) order to match weights
-    reshaped as (C_out, C_in*kh*kw). Every chunk reuses one buffer, so a
-    caller is done with a chunk before it asks for the next.
+    patches (n, C*kh*kw, OH*OW), in the dtype of the conv weights w
+    (C_out, C, kh, kw), holds each image's conv patches, rows in (channel,
+    kernel row, kernel col) order to match w reshaped as (C_out, C*kh*kw).
+    Every chunk reuses one buffer, so a caller is done with a chunk before
+    it asks for the next.
     """
-    b, c, h, w = x.shape
-    oh, ow = h - kh + 1, w - kw + 1
-    buf = np.empty((min(PATCH_CHUNK, b), c * kh * kw, oh * ow))
+    b, c, h, w_in = x.shape
+    kh, kw = w.shape[2:]
+    oh, ow = h - kh + 1, w_in - kw + 1
+    buf = np.empty((min(PATCH_CHUNK, b), c * kh * kw, oh * ow), dtype=w.dtype)
     for i in range(0, b, PATCH_CHUNK):
         chunk = x[i : i + PATCH_CHUNK]
         n = chunk.shape[0]
@@ -221,8 +226,8 @@ def patch_chunks(x: np.ndarray, kh: int, kw: int):
 
 
 def dense_drive(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """x (B, in) @ w (out, in)^T -> (B, out)."""
-    return np.ascontiguousarray(x, dtype=np.float64) @ w.T
+    """x (B, in) @ w (out, in)^T -> (B, out), in the dtype of w."""
+    return np.ascontiguousarray(x, dtype=w.dtype) @ w.T
 
 
 def _maxpool_route(x: np.ndarray, want_route: bool = True):
@@ -307,8 +312,11 @@ _COUNT_NAMES = ("input", "sigma1", "sigma2", "sigma3")
 def resolve_weights(model: SnnModel, use_quantized: bool):
     """(weights, per-layer thresholds) of a forward pass: the master weights
     at THRESHOLD, or the quantized view in code units at each layer's
-    integer threshold. Float64 sums of integers below 2^53 are exact in any
-    order, so that view decides every spike exactly."""
+    integer threshold theta_l. Its drives and membranes are whole numbers
+    below theta_l + fan_in_l * (2^(b-1) - 1), so their sums are exact in
+    any order: in float32 when every layer's bound is under 2^24, which
+    sets the view's dtype, else in float64.
+    """
     if not use_quantized:
         return model.weights, (THRESHOLD,) * len(WEIGHT_NAMES)
     if not model.quantized:
@@ -316,8 +324,12 @@ def resolve_weights(model: SnnModel, use_quantized: bool):
             "model has no quantized view; quantize it or drop use_quantized"
         )
     views = [model.quantized[name] for name in WEIGHT_NAMES]
-    return ({name: q.code_units for name, q in zip(WEIGHT_NAMES, views)},
-            tuple(q.threshold for q in views))
+    thresholds = tuple(q.threshold for q in views)
+    exact32 = all(th + q.codes[0].size * ((1 << (q.bits - 1)) - 1) < 2 ** 24
+                  for q, th in zip(views, thresholds))
+    dtype = np.float32 if exact32 else np.float64
+    return ({name: q.code_units.astype(dtype, copy=False)
+             for name, q in zip(WEIGHT_NAMES, views)}, thresholds)
 
 
 def forward_batch(
@@ -373,48 +385,65 @@ def _forward_chunk(model, bits, weights, thresholds, hard, want_tape,
                    acc, counts, per_step):
     """Run bits (B, T, C, H, W) through the network, adding into acc
     (B, n_classes), counts (4, B) and per_step (T, 4) as forward_batch
-    reports them. Returns the Tape when want_tape, else None."""
+    reports them. Returns the Tape when want_tape, else None.
+
+    State and drives take the weights' dtype. A lean forward (hard, no
+    tape) skips what is zero or unread: potentials start at 0 and a drive
+    reaches the next step's potential, so layer l = 1, 2, 3 holds 0 up to
+    step l - 1, where it takes max(J, 0), and fires from step l on. At step
+    T-1 each layer only decides its spikes: nothing reads V_T.
+    """
     w_conv, w_fc1, w_fc2 = (weights[n] for n in WEIGHT_NAMES)
+    dtype = w_conv.dtype
     b = bits.shape[0]
     c1, oh, ow = model.shape_after_conv()
     ph, pw = oh // 2, ow // 2
     flat_n = c1 * ph * pw
     t = model.t_inf
     spike_dtype = np.uint8 if hard else np.float64
+    lean = hard and not want_tape
 
     # Each layer's membrane alternates between two buffers: a step reads one
-    # and writes the next potential into the other.
-    v1, v1_spare = np.zeros((b, c1, oh, ow)), np.empty((b, c1, oh, ow))
-    v2, v2_spare = np.zeros((b, model.hidden)), np.empty((b, model.hidden))
-    v3, v3_spare = np.zeros((b, model.n_classes)), np.empty((b, model.n_classes))
+    # and writes the next potential into the other, so that the tape can
+    # keep the potential a decision read. A lean step updates it in place.
+    v1, v1_spare = np.zeros((b, c1, oh, ow), dtype), np.empty((b, c1, oh, ow), dtype)
+    v2, v2_spare = np.zeros((b, model.hidden), dtype), np.empty((b, model.hidden), dtype)
+    v3, v3_spare = (np.zeros((b, model.n_classes), dtype),
+                    np.empty((b, model.n_classes), dtype))
 
-    def fire(v, drive, out, layer):
-        """(v_next, spikes) of one IF layer, v_next written into out."""
-        if hard:
-            v_next, s = _if_update(v, drive, thresholds[layer], out=out)
-            return v_next, s.view(np.uint8)
-        return np.add(v, drive, out=out), relaxed_spike(v)
+    def fire(layer, k, v, drive, out):
+        """(v_next, spikes) of one IF layer at step k, v_next written into
+        out; spikes is None at the steps a lean forward knows are silent."""
+        if not hard:
+            return np.add(v, drive, out=out), relaxed_spike(v)
+        if lean:
+            if k <= layer:  # the potential is still 0
+                return (np.maximum(drive, 0.0, out=v) if k < t - 1 else v), None
+            if k == t - 1:
+                return v, (v >= thresholds[layer]).view(np.uint8)
+            out = v
+        v_next, s = _if_update(v, drive, thresholds[layer], out=out)
+        return v_next, s.view(np.uint8)
 
     # A step's drives only feed the next step's potentials, so the last
     # step's drives feed V_T, which nothing reads, and are skipped; the
     # last step reuses the previous step's drives.
-    kh, kw = model.kernel
     w_conv2 = w_conv.reshape(c1, -1)
-    j1 = np.zeros((b, c1, oh, ow))
+    j1 = np.zeros((b, c1, oh, ow), dtype)
     j1_rows = j1.reshape(b, c1, oh * ow)
-    j2 = np.zeros((b, model.hidden))
-    j3 = np.zeros((b, model.n_classes))
+    j2 = np.zeros((b, model.hidden), dtype)
+    j3 = np.zeros((b, model.n_classes), dtype)
 
     tape = None
     if want_tape:
         tape = Tape(
             s1=np.empty((t, b, c1, oh, ow), dtype=spike_dtype),
             cells=np.empty((t, b, c1, ph, pw), dtype=np.intp),
-            v1_routed=np.empty((t, b, c1, ph, pw)),
+            v1_routed=np.empty((t, b, c1, ph, pw), dtype),
             flat=np.empty((t, b, flat_n), dtype=spike_dtype),
-            v2_pre=np.empty((t, b, model.hidden)),
+            v2_pre=np.empty((t, b, model.hidden), dtype),
             s2=np.empty((t, b, model.hidden), dtype=spike_dtype),
-            v3_pre=np.empty((t, b, model.n_classes)),
+            v3_pre=np.empty((t, b, model.n_classes), dtype),
             s3=np.empty((t, b, model.n_classes), dtype=spike_dtype),
         )
         # flat index of each pool window's top-left cell, and the offset of
@@ -429,18 +458,20 @@ def _forward_chunk(model, bits, weights, thresholds, hard, want_tape,
     for k in range(t):
         live = k < t - 1
         if live:
-            for i, patches in patch_chunks(bits[:, k], kh, kw):
+            for i, patches in patch_chunks(bits[:, k], w_conv):
                 np.matmul(w_conv2, patches, out=j1_rows[i : i + len(patches)])
-        v1_next, s1 = fire(v1, j1, v1_spare, 0)
-        pooled, route = _maxpool_route(s1, want_route=want_tape)
-        flat = pooled.reshape(b, -1)
-        if live:
-            j2 = dense_drive(flat, w_fc1)
-        v2_next, s2 = fire(v2, j2, v2_spare, 1)
-        if live:
+        v1_next, s1 = fire(0, k, v1, j1, v1_spare)
+        if s1 is not None and (live or want_tape):
+            pooled, route = _maxpool_route(s1, want_route=want_tape)
+            flat = pooled.reshape(b, -1)
+            if live:
+                j2 = dense_drive(flat, w_fc1)
+        v2_next, s2 = fire(1, k, v2, j2, v2_spare)
+        if s2 is not None and live:
             j3 = dense_drive(s2, w_fc2)
-        v3_next, s3 = fire(v3, j3, v3_spare, 2)
-        acc += s3
+        v3_next, s3 = fire(2, k, v3, j3, v3_spare)
+        if s3 is not None:
+            acc += s3
 
         if want_tape:
             tape.s1[k] = s1
@@ -455,6 +486,8 @@ def _forward_chunk(model, bits, weights, thresholds, hard, want_tape,
             tape.s3[k] = s3
         if hard:
             for layer, s in enumerate((s1, s2, s3), start=1):
+                if s is None:
+                    continue
                 step_counts = s.reshape(b, -1).sum(axis=1, dtype=np.int64)
                 counts[layer] += step_counts
                 per_step[k, layer] += step_counts.sum()

@@ -20,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import tempfile
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -27,7 +28,8 @@ import numpy as np
 from .data import stratified_folds
 from .errors import InvalidInput, NonFiniteGradient
 from .quant import dequantize, quantize
-from .snn import THRESHOLD, SnnModel, forward_batch, init_model, patch_chunks
+from .snn import (THRESHOLD, WEIGHT_NAMES, SnnModel, forward_batch, init_model,
+                  load_model, patch_chunks, save_model)
 
 GAIN_AT_THRESHOLD = 1.0 / np.sqrt(2.0 * np.pi)
 
@@ -102,8 +104,7 @@ def backprop_through_time(
     b = bits.shape[0]
     t = model.t_inf
     c1 = model.conv_channels
-    kh, kw = model.kernel
-    w_fc1, w_fc2 = model.weights["fc1"], model.weights["fc2"]
+    w_conv, w_fc1, w_fc2 = (model.weights[n] for n in WEIGHT_NAMES)
 
     loss = cross_entropy(out.probs, labels)
     g_acc = out.probs.copy()
@@ -125,7 +126,7 @@ def backprop_through_time(
     g_v1_rows = g_v1.reshape(b, c1, -1)
     g_j3 = np.empty((t,) + g_v3.shape)
     g_j2 = np.empty((t,) + g_v2.shape)
-    g_w1 = np.zeros((c1, bits.shape[2] * kh * kw))
+    g_w1 = np.zeros((c1, w_conv[0].size))
     scratch3, scratch2 = np.empty_like(g_v3), np.empty_like(g_v2)
     scratch1 = np.empty(tape.cells.shape[1:])
     sigma1_live = False  # g_v1 may be non-zero
@@ -142,7 +143,7 @@ def backprop_through_time(
         # gradient is needed
         if sigma1_live:
             carry(g_v1, tape.s1[k])
-            for i, patches in patch_chunks(bits[:, k], kh, kw):
+            for i, patches in patch_chunks(bits[:, k], w_conv):
                 g_chunk = g_v1_rows[i : i + len(patches)]
                 g_w1 += np.matmul(g_chunk, patches.transpose(0, 2, 1)).sum(axis=0)
         # A drive reaches the loss only through later steps, so sigma2's drive
@@ -160,7 +161,7 @@ def backprop_through_time(
     flat_flat = np.ascontiguousarray(tape.flat.reshape(t * b, -1), dtype=np.float64)
     g_w2 = g_j2.reshape(t * b, -1).T @ flat_flat
     grads = {
-        "conv": g_w1.reshape(model.weights["conv"].shape),
+        "conv": g_w1.reshape(w_conv.shape),
         "fc1": g_w2,
         "fc2": g_w3,
     }
@@ -396,25 +397,33 @@ def _fold_workers(folds: int) -> int:
 _worker_job = None  # set in worker processes only, by _start_worker
 
 
-def _start_worker(job: _FoldJob) -> None:
-    """Pool initializer: keep the job the fork inherited, one BLAS thread."""
+def _start_worker(job: _FoldJob, folder: str) -> None:
+    """Pool initializer: keep the job the fork inherited and the folder to
+    save fold models in, one BLAS thread."""
     global _worker_job
-    _worker_job = job
+    _worker_job = job, folder
     for setter in _blas_thread_setters():
         setter(1)
 
 
 def _train_worker_fold(fold: int):
-    return _train_fold(_worker_job, fold)
+    """_train_fold's result with the fold model saved, and its path in its
+    place."""
+    job, folder = _worker_job
+    *result, model = _train_fold(job, fold)
+    path = os.path.join(folder, f"fold{fold}.bin")
+    save_model(model, path)
+    return *result, path
 
 
-def _fold_results(job: _FoldJob, workers: int):
+def _fold_results(job: _FoldJob, workers: int, folder: str):
     """Yield _train_fold's result for every fold, in fold order.
 
     With one worker the folds run in this process. Otherwise they run on
-    forked workers, which inherit the job without pickling it; the pool is
-    shut down and joined before this generator ends, also on an error,
-    after the folds already running finish.
+    forked workers, which inherit the job without pickling it and return
+    each fold model as a file in folder; the pool is shut down and joined
+    before this generator ends, also on an error, after the folds already
+    running finish.
     """
     folds = job.cfg.folds
     if workers == 1:
@@ -428,7 +437,7 @@ def _fold_results(job: _FoldJob, workers: int):
     # unpickling a copy; OpenBLAS shuts its thread pool down before a fork
     pool = ProcessPoolExecutor(
         workers, mp_context=multiprocessing.get_context("fork"),
-        initializer=_start_worker, initargs=(job,),
+        initializer=_start_worker, initargs=(job, folder),
     )
     try:
         yield from pool.map(_train_worker_fold, range(folds))
@@ -452,8 +461,10 @@ def train(model: SnnModel, dataset, cfg: TrainConfig):
     master and evaluated with the quantized forward on the held-out fold.
 
     The folds are independent, so they run on one forked worker process per
-    CPU in the affinity mask, each with one BLAS thread. The result does not
-    depend on the number of workers.
+    CPU in the affinity mask, each with one BLAS thread. The workers save
+    their fold models in a temporary directory, which goes on every exit,
+    and only the best one is read back. The result does not depend on the
+    number of workers.
 
     Returns:
         (best_model, report): the fold model with the highest validation
@@ -476,20 +487,21 @@ def train(model: SnnModel, dataset, cfg: TrainConfig):
     loss_curves = []
     confusion = np.zeros((model.n_classes, model.n_classes), dtype=np.int64)
     best = None
-    results = _fold_results(job, _fold_workers(cfg.folds))
-    with contextlib.closing(results):
+    with (tempfile.TemporaryDirectory(prefix="spikeradar-folds-") as folder,
+          contextlib.closing(_fold_results(job, _fold_workers(cfg.folds), folder))
+          as results):
         for fold, (acc, fold_confusion, curve, m) in enumerate(results):
             accuracies.append(acc)
             loss_curves.append(curve)
             confusion += fold_confusion
             if best is None or acc > best[0]:
-                m.provenance = {
-                    "trained_on": "fold-cv",
-                    "fold": fold,
-                    "config": asdict(cfg),
-                    "n_examples": int(bits.shape[0]),
-                }
-                best = (acc, m)
+                best = (acc, fold, m)
+        # a worker's fold model is a file; only the best one is read
+        _, fold, m = best
+        if not isinstance(m, SnnModel):
+            m = load_model(m)
+    m.provenance = {"trained_on": "fold-cv", "fold": fold, "config": asdict(cfg),
+                    "n_examples": int(bits.shape[0])}
 
     report = FoldReport(
         fold_accuracies=accuracies,
@@ -499,4 +511,4 @@ def train(model: SnnModel, dataset, cfg: TrainConfig):
         bits=cfg.bits,
         seed=cfg.seed,
     )
-    return best[1], report
+    return m, report

@@ -273,13 +273,19 @@ def keep_top_k_rows(values: np.ndarray, k: int) -> np.ndarray:
     result is deterministic.
     """
     out = np.zeros_like(values)
+    n = values.shape[1]
     if k <= 0:
         return out
-    # Stable argsort on the negated row keeps ascending column order among
-    # equal values, which is exactly the lower-index-wins rule.
-    order = np.argsort(-values, axis=1, kind="stable")[:, :k]
-    rows = np.arange(values.shape[0])[:, None]
-    out[rows, order] = values[rows, order]
+    if k >= n:
+        np.copyto(out, values)
+        return out
+    # Keep every value above the row's k-th largest, then the values equal
+    # to it from the lowest column up, until the row holds k.
+    kth = np.partition(values, n - k, axis=1)[:, n - k : n - k + 1]
+    above, ties = values > kth, values == kth
+    room = k - above.sum(axis=1, keepdims=True)
+    keep = above | (ties & (np.cumsum(ties, axis=1) <= room))
+    np.copyto(out, values, where=keep)
     return out
 
 

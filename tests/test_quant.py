@@ -108,7 +108,7 @@ def test_threshold_is_exact_ceiling_of_inverse_scale():
 def test_code_units_are_a_read_only_cache_left_out_of_pickles():
     q = quantize(np.array([0.5, -0.25, 0.1]), bits=4)
     units = q.code_units
-    assert units.dtype == np.float64 and np.array_equal(units, q.codes)
+    assert units.dtype == np.float32 and np.array_equal(units, q.codes)
     assert q.code_units is units and not units.flags.writeable
     copy = pickle.loads(pickle.dumps(q))
     assert "code_units" not in copy.__dict__

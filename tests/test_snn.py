@@ -21,6 +21,7 @@ from spikeradar.snn import (
     init_model,
     load_model,
     relaxed_spike,
+    resolve_weights,
     save_model,
     softmax,
 )
@@ -232,6 +233,18 @@ def assert_matches_integer_oracle(model, bits):
     return counts
 
 
+def view_dtype(model):
+    return resolve_weights(model, use_quantized=True)[0]["conv"].dtype
+
+
+def shrink_scale(model, name):
+    """Give a layer a scale so small that its threshold, about 1e9 units,
+    breaks float32's 2^24 bound and moves the whole view to float64."""
+    q = model.quantized[name]
+    model.quantized[name] = QuantizedTensor(codes=q.codes, scale=1e-9, bits=q.bits)
+    assert model.quantized[name].threshold > 2 ** 24
+
+
 @pytest.mark.parametrize("n_bits", [4, 6, 8])
 def test_quantized_forward_matches_integer_oracle(n_bits):
     rng = np.random.default_rng(90 + n_bits)
@@ -247,6 +260,7 @@ def test_quantized_forward_matches_integer_oracle(n_bits):
         )
         model = tiny_model(weights, meta, t_inf, shape, n_classes, hidden)
         model.quantized = {k: quantize(w, n_bits) for k, w in weights.items()}
+        assert view_dtype(model) == np.float32
         bits = (rng.random((6, t_inf) + shape) < 0.35).astype(np.uint8)
         totals += assert_matches_integer_oracle(model, bits).sum(axis=0)
     assert (totals > 0).all(), totals
@@ -266,10 +280,10 @@ def test_quantized_all_zero_tensor_matches_integer_oracle():
     assert counts[:, 1].sum() > 0 and counts[:, 2:].sum() == 0
 
 
-def test_quantized_tie_at_one_third_matches_integer_oracle():
+def one_third_tie_model():
     """Three codes of scale 1/3 sum to 0.99999999999999994 exactly, short
     of the threshold; the float sum of the dequantized weights rounds to
-    1.0, so a float forward fires a step early."""
+    1.0, so a float forward fires a step early. Returns (model, bits)."""
     views = {
         "conv": QuantizedTensor(codes=np.ones((1, 1, 3, 3), dtype=np.int8),
                                 scale=1 / 3, bits=4),
@@ -286,10 +300,88 @@ def test_quantized_tie_at_one_third_matches_integer_oracle():
     # the window of the cell below it
     bits = np.zeros((1, 4, 1, 4, 4), dtype=np.uint8)
     bits[0, :, 0, 0:3, 0] = 1
+    return model, bits
+
+
+def test_quantized_tie_at_one_third_matches_integer_oracle():
+    model, bits = one_third_tie_model()
+    assert view_dtype(model) == np.float32
     counts = assert_matches_integer_oracle(model, bits)
     # 3 units after step 1 do not fire; both cells fire once, at step 3,
     # with 6 and 4 units, and sigma2 follows a step later
     assert counts[0].tolist() == [12, 2, 1, 0]
+
+
+# ── the float32 code-unit view and its float64 fallback ─────────────────────
+
+
+@pytest.mark.parametrize("n_bits", [4, 6, 8])
+def test_float64_fallback_matches_integer_oracle(n_bits):
+    rng = np.random.default_rng(190 + n_bits)
+    totals = np.zeros(4, dtype=np.int64)
+    for _ in range(8):
+        t_inf = int(rng.integers(2, 6))
+        shape = (int(rng.integers(1, 3)), 8, 8)
+        weights, _, meta = random_tiny_model(rng, t_inf=t_inf, shape=shape,
+                                             n_classes=3, hidden=7, scale=1.5)
+        model = tiny_model(weights, meta, t_inf, shape, 3, 7)
+        model.quantized = {k: quantize(w, n_bits) for k, w in weights.items()}
+        shrink_scale(model, "fc2")  # sigma3 cannot fire; sigma1, sigma2 can
+        assert view_dtype(model) == np.float64
+        bits = (rng.random((6, t_inf) + shape) < 0.35).astype(np.uint8)
+        totals += assert_matches_integer_oracle(model, bits).sum(axis=0)
+    assert (totals[:3] > 0).all() and totals[3] == 0, totals
+
+
+def test_tie_at_one_third_in_the_float64_fallback():
+    model, bits = one_third_tie_model()
+    shrink_scale(model, "fc2")  # sigma3 does not fire here either way
+    assert view_dtype(model) == np.float64
+    assert assert_matches_integer_oracle(model, bits)[0].tolist() == [12, 2, 1, 0]
+
+
+def test_float_forward_keeps_float64_master_weights():
+    m = init_model(input_shape=(1, 10, 10), n_classes=3, t_inf=4, seed=4)
+    m.quantized = {k: quantize(v, bits=4) for k, v in m.weights.items()}
+    assert resolve_weights(m, use_quantized=False)[0]["fc1"].dtype == np.float64
+    assert view_dtype(m) == np.float32
+
+
+# ── the tapeless forward against the full-length one ────────────────────────
+
+
+@pytest.mark.parametrize("quantized", [False, True])
+@pytest.mark.parametrize("t_inf", [1, 2, 3, 4, 5, 28])
+def test_tapeless_forward_matches_full_length_forward(t_inf, quantized):
+    """Without a tape a hard forward skips the steps on which a layer cannot
+    fire yet and the drives and updates nothing reads; the taped forward
+    runs every stage at every step, and the scalar state machine is check
+    5's oracle. All three must agree bit for bit."""
+    rng = np.random.default_rng(300 + t_inf)
+    weights, _, meta = random_tiny_model(rng, t_inf=t_inf, n_classes=3, hidden=7,
+                                         dyadic=True, scale=1.5)
+    model = tiny_model(weights, meta, t_inf, (1, 8, 8), 3, 7)
+    if quantized:
+        model.quantized = {k: quantize(w, 4) for k, w in weights.items()}
+    bits = (rng.random((8, t_inf, 1, 8, 8)) < 0.35).astype(np.uint8)
+    lean = forward_batch(model, bits, use_quantized=quantized)
+    full = forward_batch(model, bits, use_quantized=quantized, want_tape=True)
+    assert np.array_equal(lean.probs, full.probs)
+    assert np.array_equal(lean.accumulator, full.accumulator)
+    assert np.array_equal(lean.per_step_spikes, full.per_step_spikes)
+    for name, counts in full.spike_counts.items():
+        assert np.array_equal(lean.spike_counts[name], counts), name
+    # layer l cannot fire before step l
+    for layer in (1, 2, 3):
+        assert not full.per_step_spikes[:layer, layer].any()
+    if t_inf >= 4:
+        assert full.per_step_spikes[3:, 3].any()
+    if not quantized:
+        for i in range(len(bits)):
+            acc, _, counts = scalar_forward(weights, bits[i], 3, 7)
+            assert np.array_equal(lean.accumulator[i], acc), i
+            for name in ("sigma1", "sigma2", "sigma3"):
+                assert lean.spike_counts[name][i] == counts[name], (i, name)
 
 
 # ── softmax ─────────────────────────────────────────────────────────────────

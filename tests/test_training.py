@@ -2,6 +2,8 @@
 
 import json
 import multiprocessing
+import os
+import tempfile
 from dataclasses import replace
 
 import numpy as np
@@ -489,3 +491,44 @@ def test_worker_error_reaches_caller_and_workers_end(monkeypatch):
     # raised in a worker: the pool attaches the worker's traceback
     assert type(info.value.__cause__).__name__ == "_RemoteTraceback"
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_fold_models_leave_no_directory_behind(monkeypatch, tmp_path, workers):
+    """Workers hand their fold models back as files in a temporary
+    directory; train reads only the best one and removes the directory,
+    after a call that succeeds and after one that a worker's error ends."""
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    read = []
+    real_load = training.load_model
+
+    def recording_load(path):
+        read.append(path)
+        return real_load(path)
+
+    monkeypatch.setattr(training, "load_model", recording_load)
+    force_workers(monkeypatch, workers)
+    bits, labels = small_sanity(n_per_class=12, seed=87)
+    m = init_model(input_shape=(1, 12, 12), n_classes=2, t_inf=4, seed=0)
+    cfg = TrainConfig(epochs_full=1, epochs_qat=0, folds=3, batch=8, seed=8)
+    best, report = train(m, (bits, labels), cfg)
+    fold = best.provenance["fold"]
+    assert report.fold_accuracies[fold] == max(report.fold_accuracies)
+    if workers == 1:  # the folds ran in this process, which read no file
+        assert read == []
+    else:
+        assert [os.path.basename(p) for p in read] == [f"fold{fold}.bin"]
+        assert os.path.dirname(read[0]).startswith(str(tmp_path / "spikeradar-folds-"))
+    assert list(tmp_path.iterdir()) == []
+
+    real_bptt = training.backprop_through_time
+
+    def nan_bptt(*args, **kwargs):
+        grads, loss, probs = real_bptt(*args, **kwargs)
+        grads["fc1"][0, 0] = np.nan
+        return grads, loss, probs
+
+    monkeypatch.setattr(training, "backprop_through_time", nan_bptt)
+    with pytest.raises(NonFiniteGradient):
+        train(m, (bits, labels), cfg)
+    assert list(tmp_path.iterdir()) == []
